@@ -100,7 +100,7 @@ module Dynamic : sig
 
   val observe :
     t -> pc:int -> step:int -> regs:int array -> fregs:float array ->
-    mem:int array -> unit
+    mem:Stdx.Mem_table.t -> unit
   (** The value-level checks (induction steps, invariant pinning), to be
       called from {!Vm.Exec.run}'s [observe] hook right after each
       retirement, with the same pc the sink just saw.  [step] and [mem]

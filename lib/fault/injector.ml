@@ -70,7 +70,7 @@ type applied = {
   fuel : int;
   observe :
     (pc:int -> step:int -> regs:int array -> fregs:float array ->
-     mem:int array -> unit)
+     mem:Stdx.Mem_table.t -> unit)
       option;
   wrap_sink : Vm.Trace.sink -> Vm.Trace.sink;
   cut : Pipeline_error.fault_info option ref;
@@ -230,7 +230,7 @@ let plan ?metrics ~seed ~fuel kind (flat : Asm.Program.flat) =
     let observe ~pc:_ ~step:s ~regs:_ ~fregs:_ ~mem =
       if !armed && s = step then begin
         armed := false;
-        mem.(addr mod Array.length mem) <- value
+        Stdx.Mem_table.set mem (addr mod Stdx.Mem_table.words mem) value
       end
     in
     { base with

@@ -51,7 +51,7 @@ type applied = {
   fuel : int;  (** possibly reduced instruction budget *)
   observe :
     (pc:int -> step:int -> regs:int array -> fregs:float array ->
-     mem:int array -> unit)
+     mem:Stdx.Mem_table.t -> unit)
       option;  (** pass to {!Vm.Exec.run} (mem-corrupt) *)
   wrap_sink : Vm.Trace.sink -> Vm.Trace.sink;
   (** wrap the analysis sink (trace-cut); identity otherwise *)

@@ -77,64 +77,6 @@ type result = {
   completeness : Pipeline_error.completeness;
 }
 
-(* Last-write table for memory.  Paged so the footprint is proportional
-   to the addresses actually touched: the VM's address space is 2M
-   words, but a workload touches only its data segment (low addresses)
-   and stack (top of memory).  A flat 16MB array per machine model made
-   the fan-out driver's N simultaneous states pathologically expensive
-   (large transient allocations against a large live heap); pages cost
-   O(touched) instead. *)
-module Mem_table = struct
-  let page_bits = 12
-  let page_words = 1 lsl page_bits
-  let page_mask = page_words - 1
-
-  type t = { mutable pages : int array array }
-
-  let empty_page : int array = [||]
-
-  let create words =
-    let n_pages = max 1 ((max words 1 + page_words - 1) lsr page_bits) in
-    { pages = Array.make n_pages empty_page }
-
-  let rec grow t page =
-    let n = Array.length t.pages in
-    if page >= n then begin
-      let bigger = Array.make (2 * n) empty_page in
-      Array.blit t.pages 0 bigger 0 n;
-      t.pages <- bigger;
-      grow t page
-    end
-
-  (* The unsafe accesses are behind proven bounds: [page] is checked
-     against the page directory right here, and [addr land page_mask]
-     is below [page_words] — the length of every non-empty page — by
-     construction.  This is the hottest pair of functions in the whole
-     analyzer (every load and store of every trace entry of every
-     machine state lands here). *)
-  let get t addr =
-    let page = addr lsr page_bits in
-    if page >= Array.length t.pages then 0
-    else
-      let p = Array.unsafe_get t.pages page in
-      if p == empty_page then 0
-      else Array.unsafe_get p (addr land page_mask)
-
-  let set t addr time =
-    let page = addr lsr page_bits in
-    if page >= Array.length t.pages then grow t page;
-    let p = Array.unsafe_get t.pages page in
-    let p =
-      if p == empty_page then begin
-        let fresh = Array.make page_words 0 in
-        Array.unsafe_set t.pages page fresh;
-        fresh
-      end
-      else p
-    in
-    Array.unsafe_set p (addr land page_mask) time
-end
-
 (* Incremental per-machine analysis: all the state one machine model
    needs to consume a trace one entry at a time.  [step] is the body of
    what used to be the per-entry loop; a fan-out driver advances many
@@ -178,7 +120,7 @@ module State = struct
     lat : Program_info.lat_class array;
     rdf : int array array;
     reg_time : int array;
-    mem : Mem_table.t;
+    mem : Stdx.Mem_table.t;  (* last-write time per word *)
     (* Per static block: data of the most recently *executed* branch
        instance terminating it.  [cand_seq] is that instance's block
        sequence number; 0 = no instance yet. *)
@@ -279,7 +221,7 @@ module State = struct
       lat = info.lat;
       rdf = info.rdf;
       reg_time = Array.make Risc.Reg.n_unified 0;
-      mem = Mem_table.create cfg.mem_words;
+      mem = Stdx.Mem_table.create cfg.mem_words;
       cand_seq = Array.make (max info.n_blocks 1) 0;
       b_time = Array.make (max info.n_blocks 1) 0;
       b_mchain = Array.make (max info.n_blocks 1) 0;
@@ -472,7 +414,7 @@ module State = struct
       let data = max_use 0 0 in
       let data =
         if flags land Program_info.f_mem_load <> 0 then begin
-          let time = Mem_table.get st.mem aux in
+          let time = Stdx.Mem_table.get st.mem aux in
           if time > data then time else data
         end
         else data
@@ -566,7 +508,7 @@ module State = struct
         Array.unsafe_set reg_time (Array.unsafe_get defs k) def_time
       done;
       if flags land Program_info.f_mem_store <> 0 then
-        Mem_table.set st.mem aux completion;
+        Stdx.Mem_table.set st.mem aux completion;
       st.counted <- st.counted + 1;
       st.seq_cycles <- st.seq_cycles + lat;
       if completion > st.max_time then st.max_time <- completion;

@@ -36,7 +36,7 @@ val observe :
   ?every:int ->
   t ->
   pc:int -> step:int -> regs:int array -> fregs:float array ->
-  mem:int array -> unit
+  mem:Stdx.Mem_table.t -> unit
 (** A {!Vm.Exec.run}-shaped observe hook that polls the clock every
     [every] retired instructions ([every] defaults to 4096 and is
     rounded up to a power of two, so the per-instruction cost is one

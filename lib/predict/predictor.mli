@@ -80,7 +80,7 @@ module Value : sig
   val observe :
     builder ->
     pc:int -> step:int -> regs:int array -> fregs:float array ->
-    mem:int array -> unit
+    mem:Stdx.Mem_table.t -> unit
   (** Shaped to plug directly into {!Vm.Exec.run}'s [observe]. *)
 
   val table : builder -> bool array

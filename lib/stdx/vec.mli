@@ -1,7 +1,7 @@
 (** Growable vectors.
 
     A tiny dynamic-array implementation used throughout the project for
-    trace buffers and work lists.  Elements are stored in a plain [array];
+    work lists and result buffers.  Elements are stored in a plain [array];
     pushing beyond the capacity doubles the storage. *)
 
 type 'a t

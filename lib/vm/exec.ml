@@ -43,6 +43,37 @@ let validate_mem_words ?workload n =
             { what = "VM memory words"; limit = max_mem_words; requested = n }))
   else Ok n
 
+(* The float half of the address space: the [float array] twin of
+   {!Stdx.Mem_table}, with the same pages.  Addresses reaching it have
+   passed [addr_ok], so the directory, sized for [mem_words], always
+   covers them. *)
+module Float_table = struct
+  let page_bits = Stdx.Mem_table.page_bits
+  let page_mask = Stdx.Mem_table.page_words - 1
+
+  let empty_page : float array = [||]
+
+  let create words =
+    Array.make ((words + page_mask) lsr page_bits) empty_page
+
+  let[@inline] get t addr =
+    let p = t.(addr lsr page_bits) in
+    if p == empty_page then 0. else Array.unsafe_get p (addr land page_mask)
+
+  let[@inline] set t addr x =
+    let page = addr lsr page_bits in
+    let p = t.(page) in
+    let p =
+      if p == empty_page then begin
+        let fresh = Array.make Stdx.Mem_table.page_words 0. in
+        t.(page) <- fresh;
+        fresh
+      end
+      else p
+    in
+    Array.unsafe_set p (addr land page_mask) x
+end
+
 let run ?(mem_words = default_mem_words) ?(fuel = 10_000_000)
     ?(record = true) ?sink ?observe ?(probe = Obs.Probe.vm_disabled)
     (flat : Asm.Program.flat) =
@@ -51,16 +82,32 @@ let run ?(mem_words = default_mem_words) ?(fuel = 10_000_000)
   let n_code = Array.length code in
   let regs = Array.make 32 0 in
   let fregs = Array.make 32 0. in
-  let mem_i = Array.make mem_words 0 in
-  let mem_f = Array.make mem_words 0. in
-  let init_data (base, cells) =
-    let cell i = function
-      | Asm.Program.Int_cell v -> mem_i.(base + i) <- v
-      | Asm.Program.Float_cell v -> mem_f.(base + i) <- v
+  let mem_i = Stdx.Mem_table.create mem_words in
+  let mem_f = Float_table.create mem_words in
+  let fault = ref None in
+  let die kind detail = fault := Some (kind, detail) in
+  let addr_ok a = a >= 0 && a < mem_words in
+  (* A data segment outside memory is a fault before the first step,
+     like any other out-of-range access. *)
+  (match
+     List.find_opt
+       (fun (base, cells) ->
+         not (addr_ok base && base + Array.length cells <= mem_words))
+       flat.flat_data
+   with
+  | Some (base, cells) ->
+    die Pipeline_error.Mem_out_of_range
+      (Printf.sprintf "data segment ends at word %d, past the %d-word memory"
+         (base + Array.length cells) mem_words)
+  | None ->
+    let init_data (base, cells) =
+      let cell i = function
+        | Asm.Program.Int_cell v -> Stdx.Mem_table.set mem_i (base + i) v
+        | Asm.Program.Float_cell v -> Float_table.set mem_f (base + i) v
+      in
+      Array.iteri cell cells
     in
-    Array.iteri cell cells
-  in
-  List.iter init_data flat.flat_data;
+    List.iter init_data flat.flat_data);
   regs.(Risc.Reg.sp) <- mem_words - 8;
   let trace = Trace.create () in
   (* Every retired instruction flows through one emit point: the
@@ -80,10 +127,7 @@ let run ?(mem_words = default_mem_words) ?(fuel = 10_000_000)
   let probe_on = probe.Obs.Probe.v_enabled in
   let probe_mask = probe.Obs.Probe.v_sample_mask in
   let steps = ref 0 in
-  let fault = ref None in
   let halted = ref false in
-  let die kind detail = fault := Some (kind, detail) in
-  let addr_ok a = a >= 0 && a < mem_words in
   let wr rd v = if rd <> 0 then regs.(rd) <- v in
   (* The interpreter records a trace entry for every retired instruction,
      including the faulting one's predecessors only (a faulting
@@ -113,28 +157,28 @@ let run ?(mem_words = default_mem_words) ?(fuel = 10_000_000)
         let a = regs.(base) + off in
         if addr_ok a then begin
           aux := a;
-          wr rd mem_i.(a)
+          wr rd (Stdx.Mem_table.get mem_i a)
         end
         else die Pipeline_error.Mem_out_of_range "load address out of range"
       | Sw (rsrc, base, off) ->
         let a = regs.(base) + off in
         if addr_ok a then begin
           aux := a;
-          mem_i.(a) <- regs.(rsrc)
+          Stdx.Mem_table.set mem_i a regs.(rsrc)
         end
         else die Pipeline_error.Mem_out_of_range "store address out of range"
       | Flw (fd, base, off) ->
         let a = regs.(base) + off in
         if addr_ok a then begin
           aux := a;
-          fregs.(fd) <- mem_f.(a)
+          fregs.(fd) <- Float_table.get mem_f a
         end
         else die Pipeline_error.Mem_out_of_range "load address out of range"
       | Fsw (fsrc, base, off) ->
         let a = regs.(base) + off in
         if addr_ok a then begin
           aux := a;
-          mem_f.(a) <- fregs.(fsrc)
+          Float_table.set mem_f a fregs.(fsrc)
         end
         else die Pipeline_error.Mem_out_of_range "store address out of range"
       | Falu (op, fd, fs, ft) -> fregs.(fd) <- eval_falu op fregs.(fs) fregs.(ft)

@@ -2,10 +2,13 @@
 
     Executes a {!Asm.Program.flat} program and records a {!Trace.t}.
     Memory is word addressed; integer and floating-point cells live in
-    parallel arrays sharing one address space (the typed Mini-C code
-    generator never accesses one address with both widths).  The stack
-    pointer starts near the top of memory and grows down; the data
-    segment occupies low addresses.
+    two paged tables sharing one address space (the typed Mini-C code
+    generator never accesses one address with both widths).  A 4 Ki-word
+    page is allocated on its first store and a page never stored to
+    reads as [0] / [0.], so an execution costs O(pages touched), not
+    O([mem_words]).  The stack pointer starts near the top of memory and
+    grows down; the data segment occupies low addresses.  A data segment
+    that does not fit in memory is a [Mem_out_of_range] fault at step 0.
 
     Execution is deterministic.  It stops at [Halt], when [fuel]
     instructions have retired (the paper similarly truncates traces at
@@ -40,8 +43,10 @@ val completeness_of : outcome -> Pipeline_error.completeness
 val default_mem_words : int
 
 val max_mem_words : int
-(** Resource guard: the largest memory the VM will agree to allocate
-    (two word arrays of this size).  See {!validate_mem_words}. *)
+(** Resource guard: the largest address range the VM will agree to
+    serve.  Memory is paged, so this bounds the valid addresses and the
+    page directory (one slot per 4 Ki words), not an up-front
+    allocation.  See {!validate_mem_words}. *)
 
 val validate_mem_words : ?workload:string -> int -> (int, Pipeline_error.t) result
 (** Checks a requested memory size against [1 <= n <= max_mem_words],
@@ -55,7 +60,7 @@ val run :
   ?sink:Trace.sink ->
   ?observe:
     (pc:int -> step:int -> regs:int array -> fregs:float array ->
-     mem:int array -> unit) ->
+     mem:Stdx.Mem_table.t -> unit) ->
   ?probe:Obs.Probe.vm ->
   Asm.Program.flat ->
   outcome
@@ -69,9 +74,12 @@ val run :
     trace length.  [observe] is called after [sink]'s [on_entry] for
     each retired instruction with the 0-based retirement index [step]
     and the live register files and integer memory (not copies —
-    callers must not retain them); value-level trace checkers
-    ({!Cfg.Verify.Dynamic.observe}) hang off this hook, and the fault
-    injector uses it to corrupt state mid-execution.
+    callers must not retain them).  [mem] is the integer page table,
+    created with [mem_words]: a {!Stdx.Mem_table.set} below
+    [Stdx.Mem_table.words mem] is a store the program will observe.
+    Value-level trace checkers ({!Cfg.Verify.Dynamic.observe}) hang off
+    this hook, and the fault injector writes through [mem] to corrupt
+    state mid-execution.
 
     [probe] (default {!Obs.Probe.vm_disabled}) publishes execution
     metrics — retired steps, execution/fault counts, and a sampled
@@ -79,5 +87,6 @@ val run :
     retirement path one hoisted bool test.
 
     [mem_words] is trusted here (callers go through
-    {!validate_mem_words}); [Invalid_argument] is possible only for a
+    {!validate_mem_words}): it fixes the address range and sizes the
+    page directory, and [Invalid_argument] is possible only for a
     nonsensical negative size. *)

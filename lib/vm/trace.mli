@@ -12,11 +12,13 @@
     outcomes for the prediction study.
 
     Consumers come in two forms.  A materialized {!t} buffers the whole
-    trace for random access (dumping, debugging, repeated scans).  A
-    {!sink} receives entries as the VM retires them, so analyses that
-    need only one forward pass never hold the trace in memory — the
-    decoupled fetch/analysis split that makes paper-scale (100M-entry)
-    traces feasible. *)
+    trace for random access (dumping, debugging, repeated scans) in
+    fixed-size [int array] chunks of {!chunk_size} entries, filled in
+    place and never copied as the trace grows; a trace with no entries
+    holds no chunk.  A {!sink} receives entries as the VM retires them,
+    so analyses that need only one forward pass never hold the trace in
+    memory — the decoupled fetch/analysis split that makes paper-scale
+    (100M-entry) traces feasible. *)
 
 type t
 
@@ -38,7 +40,11 @@ val null_sink : sink
 val tee : sink -> sink -> sink
 (** [tee a b] forwards every entry (and close) to [a] then [b]. *)
 
+val chunk_size : int
+(** Entries per chunk of a materialized trace: 16384. *)
+
 val create : unit -> t
+(** An empty trace.  Its first chunk is allocated by the first [push]. *)
 
 val push : t -> pc:int -> aux:int -> unit
 
@@ -49,8 +55,12 @@ val buffer_sink : t -> sink
 val length : t -> int
 
 val pc : t -> int -> int
+(** [pc t i] is entry [i]'s static code index.
+    @raise Invalid_argument unless [0 <= i < length t]. *)
 
 val aux : t -> int -> int
+(** [aux t i] is entry [i]'s dynamic word.
+    @raise Invalid_argument unless [0 <= i < length t]. *)
 
 val addr : t -> int -> int
 (** Same as [aux]; named accessor for memory entries. *)
@@ -60,6 +70,7 @@ val taken : t -> int -> bool
     branches. *)
 
 val iter : (pc:int -> aux:int -> unit) -> t -> unit
+(** Every entry, in trace order. *)
 
 val feed : t -> sink -> unit
 (** Replay a materialized trace into a sink, entry by entry, then close
@@ -68,7 +79,7 @@ val feed : t -> sink -> unit
 (** A fixed-stride slice of a trace.  Entries [seg_base ..
     seg_base + seg_len - 1] of the stream live at indices [0 ..
     seg_len - 1] of [seg_pcs]/[seg_auxs].  The arrays are owned by the
-    segment (never aliased with a growing trace buffer), so a filled
+    segment (never aliased with a trace's chunks), so a filled
     segment is safe to hand to another domain; [seg_len] may be
     shorter than the arrays for the final partial segment. *)
 type seg = {
@@ -91,5 +102,6 @@ val segmenting_sink : steps:int -> emit:(seg -> unit) -> sink
 
 val segments : steps:int -> t -> seg array
 (** Slice a materialized trace into segments of [steps] entries (the
-    last one possibly shorter), copying entries out of the shared
-    buffer.  Raises [Invalid_argument] if [steps < 1]. *)
+    last one possibly shorter), copying each segment out of the trace
+    one chunk span at a time.  Raises [Invalid_argument] if
+    [steps < 1]. *)

@@ -187,10 +187,42 @@ let test_mem_words_guard () =
     | _ -> Alcotest.fail ("wrong cause: " ^ E.to_string e));
     Alcotest.(check int) "exit code" 5 (E.exit_code e)
   | Ok _ -> Alcotest.fail "cap not enforced");
-  match stream_result ~mem_words:0 w spec1 with
+  (match stream_result ~mem_words:0 w spec1 with
   | Error { E.cause = E.Invalid_request _; _ } -> ()
   | Error e -> Alcotest.fail ("wrong cause: " ^ E.to_string e)
-  | Ok _ -> Alcotest.fail "zero memory accepted"
+  | Ok _ -> Alcotest.fail "zero memory accepted");
+  (* A memory smaller than the data segment (awk, ccom, latex) or the
+     stack (the rest) truncates every workload; none escapes. *)
+  List.iter
+    (fun stream ->
+      match
+        Harness.Run.exec
+          (Harness.Run.config ~mem_words:16 ~stream spec1)
+          Workloads.Registry.all
+      with
+      | Error e -> Alcotest.fail (E.to_string e)
+      | Ok items ->
+        List.iter
+          (fun (it : Harness.Run.item) ->
+            let name = it.it_workload.Workloads.Registry.name in
+            match it.it_outcome with
+            | Ok [ r ] -> (
+              match r.Ilp.Analyze.completeness with
+              | E.Truncated f ->
+                Alcotest.(check kind) (name ^ " at 16 words")
+                  E.Mem_out_of_range f.E.f_kind;
+                if name = "awk" then begin
+                  Alcotest.(check int) "awk faults before its first step"
+                    0 f.E.f_step;
+                  Alcotest.(check int) "at the entry pc"
+                    (Workloads.Registry.compile w).Asm.Program.entry_pc
+                    f.E.f_pc
+                end
+              | E.Complete -> Alcotest.fail (name ^ ": complete at 16 words"))
+            | Ok _ -> Alcotest.fail "one spec, one result"
+            | Error e -> Alcotest.fail (name ^ ": " ^ E.to_string e))
+          items)
+    [ false; true ]
 
 (* --- typed lookups and compile errors ------------------------------ *)
 
@@ -256,6 +288,34 @@ let test_inject_kinds_behave () =
     Alcotest.(check bool) "fuel-cut truncates" true
       (completeness_kind inj.i_result.Ilp.Analyze.completeness <> None)
   | Error e -> Alcotest.fail (E.to_string e));
+  (* mem-corrupt: the described word, folded into the memory's size,
+     takes the value at the planned step *)
+  List.iter
+    (fun words ->
+      let app =
+        Fault.Injector.plan ~seed:9 ~fuel:small_fuel Mem_corrupt
+          (Workloads.Registry.compile w)
+      in
+      let step, addr, value =
+        Scanf.sscanf app.description "mem-corrupt at step %d: mem[%d] <- %d"
+          (fun s a v -> (s, a, v))
+      in
+      let mem = Stdx.Mem_table.create words in
+      let regs = Array.make 32 0 and fregs = Array.make 32 0. in
+      let observe s =
+        Option.iter (fun f -> f ~pc:0 ~step:s ~regs ~fregs ~mem) app.observe
+      in
+      for s = 0 to step - 1 do
+        observe s
+      done;
+      Alcotest.(check int) "untouched before its step" 0
+        (Stdx.Mem_table.get mem (addr mod words));
+      observe step;
+      Alcotest.(check int)
+        (Printf.sprintf "mem-corrupt lands in %d words" words)
+        value
+        (Stdx.Mem_table.get mem (addr mod words)))
+    [ Vm.Exec.default_mem_words; 1000 ];
   (* trace-cut: the analyzer sees at most the kept prefix while the
      execution runs to its own end *)
   match Harness.inject ~fuel:small_fuel ~seed:5 ~kind:Trace_cut w with

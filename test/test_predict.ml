@@ -99,7 +99,7 @@ let test_value_trainer_majority () =
       (fun v ->
         regs.(1) <- v;
         Predict.Predictor.Value.observe b ~pc ~step:0 ~regs ~fregs
-          ~mem:[||])
+          ~mem:(Stdx.Mem_table.create 1))
       values
   in
   let mk () =
@@ -129,7 +129,8 @@ let test_value_trainer_float_defs () =
   List.iter
     (fun v ->
       fregs.(1) <- v;
-      Predict.Predictor.Value.observe b ~pc:0 ~step:0 ~regs ~fregs ~mem:[||])
+      Predict.Predictor.Value.observe b ~pc:0 ~step:0 ~regs ~fregs
+        ~mem:(Stdx.Mem_table.create 1))
     [ 1.5; 1.5; 1.5 ];
   Alcotest.(check bool) "constant float predictable" true
     (Predict.Predictor.Value.table b).(0)

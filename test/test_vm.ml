@@ -192,7 +192,172 @@ let test_no_record () =
   let w = Workloads.Registry.find "awk" in
   let flat = Workloads.Registry.compile w in
   let o = Vm.Exec.run ~fuel:10_000 ~record:false flat in
-  Alcotest.(check int) "no trace recorded" 0 (Vm.Trace.length o.trace)
+  Alcotest.(check int) "no trace recorded" 0 (Vm.Trace.length o.trace);
+  Alcotest.(check bool) "no chunk allocated" true
+    (Obj.reachable_words (Obj.repr o.trace) < Vm.Trace.chunk_size)
+
+(* --- paged memory against a dense reference ------------------------- *)
+
+type mem_op =
+  | Store_int of int * int
+  | Store_float of int * float
+  | Load_int of int
+  | Load_float of int
+
+type loaded = Int_val of int | Float_val of float
+
+(* Four pages, the last one partial, so the boundary addresses sit on
+   the first page's last word, the second page's first word and the
+   partial page's last word. *)
+let paged_words = (3 * Stdx.Mem_table.page_words) + 5
+
+let gen_mem_ops =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [ (1, oneofl [ 0; 4095; 4096; paged_words - 1 ]);
+        (1, int_bound (paged_words - 1)) ]
+  in
+  let op =
+    oneof
+      [ map2 (fun a v -> Store_int (a, v)) addr small_signed_int;
+        map2
+          (fun a v -> Store_float (a, float_of_int v +. 0.5))
+          addr small_signed_int;
+        map (fun a -> Load_int a) addr;
+        map (fun a -> Load_float a) addr ]
+  in
+  list_size (1 -- 40) op
+
+(* Every op becomes straight-line code through r8 (address), r9/f1
+   (stored values) and r10/f2 (loaded values).  The boundary words are
+   loaded in both spaces before the first store, while every page is
+   untouched, and again at the end. *)
+let mem_program ops =
+  let boundary =
+    List.concat_map
+      (fun a -> [ Load_int a; Load_float a ])
+      [ 0; 4095; 4096; paged_words - 1 ]
+  in
+  let ops = boundary @ ops @ boundary in
+  let insns =
+    List.concat_map
+      (function
+        | Store_int (a, v) -> [ I.Li (8, a); I.Li (9, v); I.Sw (9, 8, 0) ]
+        | Store_float (a, x) -> [ I.Li (8, a); I.Fli (1, x); I.Fsw (1, 8, 0) ]
+        | Load_int a -> [ I.Li (8, a); I.Lw (10, 8, 0) ]
+        | Load_float a -> [ I.Li (8, a); I.Flw (2, 8, 0) ])
+      ops
+  in
+  (ops, insns @ [ I.Halt ])
+
+let prop_paged_memory =
+  QCheck.Test.make ~name:"paged memory == dense arrays" ~count:200
+    (QCheck.make gen_mem_ops) (fun ops ->
+      let ops, insns = mem_program ops in
+      let ref_i = Array.make paged_words 0 in
+      let ref_f = Array.make paged_words 0. in
+      let expected =
+        List.filter_map
+          (function
+            | Store_int (a, v) -> ref_i.(a) <- v; None
+            | Store_float (a, x) -> ref_f.(a) <- x; None
+            | Load_int a -> Some (Int_val ref_i.(a))
+            | Load_float a -> Some (Float_val ref_f.(a)))
+          ops
+      in
+      let flat =
+        P.resolve
+          { P.procs =
+              [ { P.name = "main"; body = List.map (fun i -> P.Ins i) insns } ];
+            data = []; entry = "main" }
+      in
+      let loaded = ref [] in
+      let int_space_ok = ref false in
+      let observe ~pc ~step:_ ~regs ~fregs ~mem =
+        match flat.P.code.(pc) with
+        | I.Lw _ -> loaded := Int_val regs.(10) :: !loaded
+        | I.Flw _ -> loaded := Float_val fregs.(2) :: !loaded
+        | I.Halt ->
+          int_space_ok :=
+            Stdx.Mem_table.words mem = paged_words
+            && Seq.for_all
+                 (fun (a, v) -> Stdx.Mem_table.get mem a = v)
+                 (Array.to_seqi ref_i)
+        | _ -> ()
+      in
+      let o = Vm.Exec.run ~mem_words:paged_words ~observe flat in
+      o.status = Vm.Exec.Halted 0
+      && List.rev !loaded = expected
+      && !int_space_ok)
+
+(* --- chunked trace ------------------------------------------------- *)
+
+let entry_aux i = (7 * i) - 3
+
+let filled n =
+  let t = Vm.Trace.create () in
+  for i = 0 to n - 1 do
+    Vm.Trace.push t ~pc:i ~aux:(entry_aux i)
+  done;
+  t
+
+let check_entries name n t =
+  Alcotest.(check int) (name ^ " length") n (Vm.Trace.length t);
+  let k = ref 0 in
+  Vm.Trace.iter
+    (fun ~pc ~aux ->
+      if pc <> !k || aux <> entry_aux !k then
+        Alcotest.failf "%s: entry %d is (%d, %d)" name !k pc aux;
+      incr k)
+    t;
+  Alcotest.(check int) (name ^ " iter count") n !k
+
+let test_trace_chunks () =
+  let c = Vm.Trace.chunk_size in
+  List.iter
+    (fun n ->
+      let name = Printf.sprintf "n=%d" n in
+      let t = filled n in
+      check_entries name n t;
+      for i = 0 to n - 1 do
+        if Vm.Trace.pc t i <> i || Vm.Trace.aux t i <> entry_aux i then
+          Alcotest.failf "%s: random access to entry %d" name i
+      done;
+      List.iter
+        (fun i ->
+          Alcotest.check_raises (Printf.sprintf "%s pc %d" name i)
+            (Invalid_argument "Trace.pc: index out of bounds") (fun () ->
+              ignore (Vm.Trace.pc t i));
+          Alcotest.check_raises (Printf.sprintf "%s aux %d" name i)
+            (Invalid_argument "Trace.aux: index out of bounds") (fun () ->
+              ignore (Vm.Trace.aux t i)))
+        [ -1; n ];
+      let copy = Vm.Trace.create () in
+      Vm.Trace.feed t (Vm.Trace.buffer_sink copy);
+      check_entries (name ^ " fed copy") n copy;
+      (* strides that divide the chunk size (1, c/4, c) and that do not *)
+      List.iter
+        (fun steps ->
+          let segs = Vm.Trace.segments ~steps t in
+          Alcotest.(check int)
+            (Printf.sprintf "%s steps=%d count" name steps)
+            ((n + steps - 1) / steps) (Array.length segs);
+          Array.iteri
+            (fun k (s : Vm.Trace.seg) ->
+              if
+                s.seg_index <> k
+                || s.seg_base <> k * steps
+                || s.seg_len <> min steps (n - s.seg_base)
+              then Alcotest.failf "%s steps=%d: segment %d shape" name steps k;
+              for i = 0 to s.seg_len - 1 do
+                let e = s.seg_base + i in
+                if s.seg_pcs.(i) <> e || s.seg_auxs.(i) <> entry_aux e then
+                  Alcotest.failf "%s steps=%d: entry %d" name steps e
+              done)
+            segs)
+        [ 1; 1000; c / 4; c; c + 1 ])
+    [ 0; 1; c - 1; c; c + 1; (3 * c) + 7 ]
 
 let suite =
   [ Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -212,4 +377,6 @@ let suite =
     Alcotest.test_case "data segment" `Quick test_data_segment;
     Alcotest.test_case "float data segment" `Quick test_float_data_segment;
     Alcotest.test_case "determinism" `Quick test_determinism;
-    Alcotest.test_case "record off" `Quick test_no_record ]
+    Alcotest.test_case "record off" `Quick test_no_record;
+    QCheck_alcotest.to_alcotest prop_paged_memory;
+    Alcotest.test_case "chunked trace" `Quick test_trace_chunks ]
