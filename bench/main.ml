@@ -50,12 +50,6 @@ let resolved_jobs () =
   | Some j -> max 1 j
   | None -> Stdx.Pool.recommended_jobs ()
 
-(* --scheduler locked|steal: which pool implementation every pooled
-   path in the bench uses (the steal-throughput experiment runs both
-   regardless).  Scheduling only — results are bit-identical. *)
-let scheduler_override : Stdx.Pool.scheduler ref =
-  ref Stdx.Pool.default_scheduler
-
 (* Observability: --metrics / --trace-out FILE enable the context; the
    default stays disabled so the baseline bench numbers are untouched.
    Enabled, every prefill task records compile/execute/analyze spans
@@ -223,8 +217,8 @@ let prefill () =
     let t0 = now_s () in
     let filled =
       if jobs > 1 && List.length ws > 1 then
-        Stdx.Pool.with_pool ~scheduler:!scheduler_override ~jobs
-          (fun pool -> Stdx.Pool.map_list pool prepare_workload ws)
+        Stdx.Pool.with_pool ~jobs (fun pool ->
+            Stdx.Pool.map_list pool prepare_workload ws)
       else List.map prepare_workload ws
     in
     let wall = now_s () -. t0 in
@@ -852,8 +846,7 @@ let scaling () =
     let x0 = Harness.Counters.executions () in
     let t0 = now_s () in
     let cfg =
-      Harness.Run.config ~jobs ~scheduler:!scheduler_override
-        ?fuel:!fuel_override ~stream:true spec7
+      Harness.Run.config ~jobs ?fuel:!fuel_override ~stream:true spec7
     in
     let rs =
       match Harness.Run.exec cfg ws with
@@ -948,8 +941,8 @@ let segment_scaling () =
     let g0 = Harness.Counters.segments () in
     let t0 = now_s () in
     let cfg =
-      Harness.Run.config ~jobs ~scheduler:!scheduler_override
-        ?fuel:!fuel_override ~stream:true ~segment_steps:segmenting spec7
+      Harness.Run.config ~jobs ?fuel:!fuel_override ~stream:true
+        ~segment_steps:segmenting spec7
     in
     let rs =
       match Harness.Run.exec cfg [ w ] with
@@ -1021,120 +1014,6 @@ let segment_scaling () =
          [ "jobs"; "domains used"; "segments"; "wall s"; "speedup vs seq";
            "identical" ]
        ~align:[ Right; Right; Right; Right; Right; Left ] rows)
-
-(* ------------------------------------------------------------------ *)
-(* Steal-throughput: the scheduler differential.  One gcc trace is
-   sharded into ~250 fine-grained decode segments — the task regime
-   that motivated the work-stealing pool — and the same prepared trace
-   is analyzed through BOTH schedulers.  Each run must be bit-identical
-   to the sequential un-segmented reference (divergence fails the bench
-   with a nonzero exit); the JSON records tasks/sec plus the stealer's
-   steal/park counters read back through Stdx.Pool.stats. *)
-
-type steal_point = {
-  st_sched : string;
-  st_jobs : int;
-  st_tasks : int;  (* pool tasks submitted: decodes + stitches *)
-  st_segments : int;
-  st_wall_s : float;
-  st_steal_attempts : int;
-  st_steals : int;
-  st_parks : int;
-  st_identical : bool;
-}
-
-let steal_points : steal_point list ref = ref []
-let steal_seq_wall = ref 0.
-let steal_failed = ref false
-
-let steal_throughput () =
-  let w = Workloads.Registry.find "gcc" in
-  (* Fine-grained on purpose: cap the trace so segments stay small, and
-     derive the stride to yield ~250 decode tasks whatever the fuel. *)
-  let fuel = Option.value !fuel_override ~default:200_000 in
-  let p = Harness.prepare ~fuel w in
-  let trace_len = Vm.Trace.length p.trace in
-  let stride = max 1 (trace_len / 250) in
-  let jobs = max 2 (resolved_jobs ()) in
-  let t0 = now_s () in
-  let seq = Harness.Run.on_prepared p spec7 in
-  let seq_wall = now_s () -. t0 in
-  steal_seq_wall := seq_wall;
-  steal_points := [];
-  List.iter
-    (fun sched ->
-      (* A private registry per scheduler exercises the one-shot named
-         registration in Obs.Probe.pool without polluting the global
-         metrics the observability run exports. *)
-      let reg = Obs.Metrics.create () in
-      let pool = Stdx.Pool.create ~scheduler:sched ~jobs () in
-      Stdx.Pool.set_probe pool (Some (Obs.Probe.pool reg));
-      let g0 = Harness.Counters.segments () in
-      let t0 = now_s () in
-      let par =
-        Harness.Run.on_prepared ~pool ~segmenting:(`Steps stride) ~jobs p
-          spec7
-      in
-      let wall = now_s () -. t0 in
-      let st = Stdx.Pool.stats pool in
-      Obs.Probe.pool_stats reg st;
-      Stdx.Pool.shutdown pool;
-      let segs = Harness.Counters.segments () - g0 in
-      let identical = par = seq in
-      if not identical then begin
-        steal_failed := true;
-        Format.printf
-          "STEAL-THROUGHPUT FAILURE: %s scheduler diverged from the \
-           sequential run@."
-          (Stdx.Pool.scheduler_name sched)
-      end;
-      if segs < 200 then begin
-        steal_failed := true;
-        Format.printf
-          "STEAL-THROUGHPUT FAILURE: only %d segments decoded (need \
-           200+ fine-grained tasks; trace len %d, stride %d)@."
-          segs trace_len stride
-      end;
-      steal_points :=
-        !steal_points
-        @ [ { st_sched = Stdx.Pool.scheduler_name sched;
-              st_jobs = jobs;
-              st_tasks = st.Stdx.Pool.submitted;
-              st_segments = segs;
-              st_wall_s = wall;
-              st_steal_attempts = st.Stdx.Pool.steal_attempts;
-              st_steals = st.Stdx.Pool.steals;
-              st_parks = st.Stdx.Pool.parks;
-              st_identical = identical } ])
-    [ Stdx.Pool.Locked; Stdx.Pool.Steal ];
-  let rows =
-    List.map
-      (fun q ->
-        [ q.st_sched;
-          string_of_int q.st_jobs;
-          string_of_int q.st_tasks;
-          string_of_int q.st_segments;
-          Printf.sprintf "%.3f" q.st_wall_s;
-          Printf.sprintf "%.0f"
-            (float_of_int q.st_tasks /. Float.max 1e-9 q.st_wall_s);
-          string_of_int q.st_steals;
-          string_of_int q.st_parks;
-          (if q.st_identical then "yes" else "NO") ])
-      !steal_points
-  in
-  print_string
-    (Report.Table.render
-       ~title:
-         (Printf.sprintf
-            "Steal throughput: gcc x %d machines, %d-instruction \
-             segments, %d domains (seq baseline %.3f s)"
-            (List.length spec7) stride jobs seq_wall)
-       ~header:
-         [ "scheduler"; "jobs"; "tasks"; "segments"; "wall s"; "tasks/s";
-           "steals"; "parks"; "identical" ]
-       ~align:
-         [ Left; Right; Right; Right; Right; Right; Right; Right; Left ]
-       rows)
 
 (* ------------------------------------------------------------------ *)
 (* Static vs dynamic: the static estimator (`Cfg.Estimate` compiled by
@@ -1509,16 +1388,14 @@ let experiments =
     exp "serve-soak" serve_soak;
     exp "microbench" microbench;
     exp "scaling" scaling;
-    exp "segment-scaling" segment_scaling;
-    exp "steal-throughput" steal_throughput ]
+    exp "segment-scaling" segment_scaling ]
 
 (* The scaling experiments re-execute workloads per point, so they only
    run when asked for by name. *)
 let default_experiments =
   List.filter
     (fun e ->
-      e.name <> "scaling" && e.name <> "segment-scaling"
-      && e.name <> "steal-throughput")
+      e.name <> "scaling" && e.name <> "segment-scaling")
     experiments
 
 (* ------------------------------------------------------------------ *)
@@ -1562,8 +1439,6 @@ let documented_keys =
     "overlap_parallelism"; "instructions_analyzed";
     "scaling"; "speedup_vs_seq"; "identical_to_seq";
     "segment_scaling"; "segments_total"; "segment_steps";
-    "scheduler"; "steal_throughput"; "tasks_total"; "tasks_per_s";
-    "steal_attempts"; "steals"; "parks";
     "totals"; "vm_executions"; "trace_passes"; "trace_entries_scanned";
     "workloads"; "name"; "status"; "steps"; "returned"; "completeness";
     "stages"; "compile_ns"; "execute_ns"; "analyze_ns";
@@ -1628,8 +1503,6 @@ let write_json path timings =
     (match !fuel_override with Some f -> string_of_int f | None -> "null");
   p "  %s: %d,\n" (key "jobs") (resolved_jobs ());
   p "  %s: %d,\n" (key "domains_recommended") (Stdx.Pool.recommended_jobs ());
-  p "  %s: \"%s\",\n" (key "scheduler")
-    (Stdx.Pool.scheduler_name !scheduler_override);
   p "  %s: %b,\n" (key "observability") (Obs.Ctx.enabled !obs);
   (* Pre-streaming-pipeline reference point, measured on the seed tree
      (trace re-scanned per machine, workloads re-executed per table):
@@ -1701,27 +1574,6 @@ let write_json path timings =
           (key "speedup_vs_seq")
           (if q.sg_wall_s > 0. then seq_wall /. q.sg_wall_s else 1.)
           (key "identical_to_seq") q.sg_identical
-          (if i = List.length ps - 1 then "" else ","))
-      ps;
-    p "  ],\n");
-  (match !steal_points with
-  | [] -> ()
-  | ps ->
-    p "  %s: [\n" (key "steal_throughput");
-    List.iteri
-      (fun i q ->
-        p
-          "    { %s: \"%s\", %s: %d, %s: %d, %s: %d, %s: %.3f, %s: %.0f, \
-           %s: %d, %s: %d, %s: %d, %s: %b }%s\n"
-          (key "scheduler") q.st_sched (key "jobs") q.st_jobs
-          (key "tasks_total") q.st_tasks
-          (key "segments_total") q.st_segments
-          (key "wall_s") q.st_wall_s
-          (key "tasks_per_s")
-          (float_of_int q.st_tasks /. Float.max 1e-9 q.st_wall_s)
-          (key "steal_attempts") q.st_steal_attempts
-          (key "steals") q.st_steals (key "parks") q.st_parks
-          (key "identical_to_seq") q.st_identical
           (if i = List.length ps - 1 then "" else ","))
       ps;
     p "  ],\n");
@@ -1940,17 +1792,15 @@ let run_experiments selected =
     (Harness.Counters.passes ())
     (Harness.Counters.analyzed () / 1_000_000)
     (resolved_jobs ());
-  if !scaling_failed || !segment_failed || !steal_failed || !static_failed
-     || !serve_failed
+  if !scaling_failed || !segment_failed || !static_failed || !serve_failed
   then exit 1
 
 let usage () =
   prerr_endline
     "usage: main.exe [--fuel N] [--jobs N] [--segment-steps N|auto] \
-     [--scheduler locked|steal] [--metrics] [--trace-out FILE] [--list] \
-     [experiment ...]\n\
-     With no experiment names, runs everything except `scaling`, \
-     `segment-scaling` and `steal-throughput`.";
+     [--metrics] [--trace-out FILE] [--list] [experiment ...]\n\
+     With no experiment names, runs everything except `scaling` and \
+     `segment-scaling`.";
   exit 1
 
 let () =
@@ -1985,21 +1835,13 @@ let () =
         prerr_endline ("bench: " ^ Pipeline_error.to_string e);
         exit (Pipeline_error.exit_code e));
       parse names rest
-    | "--scheduler" :: s :: rest ->
-      (match Cli.Parallel.scheduler_of_flag (Some s) with
-      | Ok sched -> scheduler_override := sched
-      | Error e ->
-        prerr_endline ("bench: " ^ Pipeline_error.to_string e);
-        exit (Pipeline_error.exit_code e));
-      parse names rest
     | "--metrics" :: rest ->
       metrics_flag := true;
       parse names rest
     | "--trace-out" :: f :: rest ->
       trace_out := Some f;
       parse names rest
-    | ("--fuel" | "--jobs" | "--trace-out" | "--segment-steps"
-      | "--scheduler") :: [] ->
+    | ("--fuel" | "--jobs" | "--trace-out" | "--segment-steps") :: [] ->
       usage ()
     | name :: rest -> parse (name :: names) rest
   in

@@ -28,30 +28,6 @@ let kind_name = function
   | Sccp_unreachable -> "sccp-unreachable"
   | Dead_store -> "dead-store"
 
-let all_kinds =
-  [ Bad_branch_target; Bad_jtab_target; Bad_call_target;
-    Fallthrough_off_end; Ret_discipline; Sp_discipline; Sp_imbalance;
-    Uninit_read; Maybe_uninit_read; Unreachable_block; Sccp_unreachable;
-    Dead_store ]
-
-let kind_of_name n =
-  List.find_opt (fun k -> kind_name k = n) all_kinds
-
-type diag = {
-  pc : int;
-  block : int;
-  severity : severity;
-  kind : kind;
-  message : string;
-  disasm : string;
-}
-
-type report = {
-  diags : diag list;
-  n_errors : int;
-  n_warnings : int;
-}
-
 let severity_of = function
   | Bad_branch_target | Bad_jtab_target | Bad_call_target
   | Fallthrough_off_end | Ret_discipline | Sp_discipline | Sp_imbalance
@@ -59,11 +35,6 @@ let severity_of = function
     Error
   | Maybe_uninit_read | Unreachable_block | Sccp_unreachable | Dead_store ->
     Warning
-
-let pp_diag ppf d =
-  Format.fprintf ppf "%s: pc %d (block %d) [%s]: %s | %s"
-    (match d.severity with Error -> "error" | Warning -> "warning")
-    d.pc d.block (kind_name d.kind) d.message d.disasm
 
 let pp_uid = Risc.Reg.pp_uid
 
@@ -90,14 +61,14 @@ let each_proc (ctx : Engine.ctx) f =
     (fun proc (start, stop) -> f a flat proc a.views.(proc) start stop)
     flat.proc_bounds
 
-let pass name kind help run =
-  { Engine.p_name = name;
+let pass kind help run =
+  { Engine.p_name = kind_name kind;
     p_help = help;
     p_severity = severity_of kind;
     p_run = run }
 
 let branch_target_pass =
-  pass "bad-branch-target" Bad_branch_target
+  pass Bad_branch_target
     "branch or jump targets must stay inside their procedure"
     (fun ctx ~emit ->
       each_proc ctx
@@ -114,7 +85,7 @@ let branch_target_pass =
           done))
 
 let jtab_target_pass =
-  pass "bad-jtab-target" Bad_jtab_target
+  pass Bad_jtab_target
     "jump-table entries must stay inside their procedure"
     (fun ctx ~emit ->
       each_proc ctx
@@ -135,7 +106,7 @@ let jtab_target_pass =
           done))
 
 let call_target_pass =
-  pass "bad-call-target" Bad_call_target
+  pass Bad_call_target
     "calls must target a procedure entry"
     (fun ctx ~emit ->
       let flat = ctx.Engine.analysis.graph.flat in
@@ -154,7 +125,7 @@ let call_target_pass =
         flat.code)
 
 let ret_discipline_pass =
-  pass "ret-discipline" Ret_discipline "returns must go through ra"
+  pass Ret_discipline "returns must go through ra"
     (fun ctx ~emit ->
       Array.iteri
         (fun pc insn ->
@@ -182,7 +153,7 @@ let sp_clean code start stop =
   !clean
 
 let sp_discipline_pass =
-  pass "sp-discipline" Sp_discipline
+  pass Sp_discipline
     "the stack pointer moves only by constant adjustments"
     (fun ctx ~emit ->
       Array.iteri
@@ -199,7 +170,7 @@ let sp_discipline_pass =
         ctx.Engine.analysis.graph.flat.code)
 
 let fallthrough_pass =
-  pass "fallthrough-off-end" Fallthrough_off_end
+  pass Fallthrough_off_end
     "procedures must not fall through their last instruction"
     (fun ctx ~emit ->
       each_proc ctx
@@ -215,7 +186,7 @@ let fallthrough_pass =
             | Jump | Computed_jump | Ret | Stop -> ()))
 
 let sp_imbalance_pass =
-  pass "sp-imbalance" Sp_imbalance
+  pass Sp_imbalance
     "constant frame offsets agree at joins and return to zero at exits"
     (fun ctx ~emit ->
       each_proc ctx
@@ -269,7 +240,7 @@ let sp_imbalance_pass =
           end))
 
 let unreachable_pass =
-  pass "unreachable-block" Unreachable_block
+  pass Unreachable_block
     "blocks unreachable from the procedure entry"
     (fun ctx ~emit ->
       each_proc ctx
@@ -282,7 +253,7 @@ let unreachable_pass =
           done))
 
 let sccp_unreachable_pass =
-  pass "sccp-unreachable" Sccp_unreachable
+  pass Sccp_unreachable
     "blocks CFG-reachable but pruned by conditional constant propagation"
     (fun ctx ~emit ->
       let sccp = Lazy.force ctx.Engine.sccp in
@@ -312,7 +283,7 @@ let iter_uninit_reads ctx proc v ~f =
   done
 
 let uninit_pass =
-  pass "uninit-read" Uninit_read
+  pass Uninit_read
     "registers read but never written on any path"
     (fun ctx ~emit ->
       each_proc ctx
@@ -324,7 +295,7 @@ let uninit_pass =
                      "%a is read but never written on any path here" pp_uid r))))
 
 let maybe_uninit_pass =
-  pass "maybe-uninit-read" Maybe_uninit_read
+  pass Maybe_uninit_read
     "registers uninitialized on some path"
     (fun ctx ~emit ->
       each_proc ctx
@@ -336,7 +307,7 @@ let maybe_uninit_pass =
                   (Format.asprintf "%a may be uninitialized here" pp_uid r))))
 
 let dead_store_pass =
-  pass "dead-store" Dead_store "registers written but never read"
+  pass Dead_store "registers written but never read"
     (fun ctx ~emit ->
       each_proc ctx
         (fun _a flat proc v _start _stop ->
@@ -372,39 +343,6 @@ let passes =
     fallthrough_pass; ret_discipline_pass; sp_discipline_pass;
     sp_imbalance_pass; uninit_pass; maybe_uninit_pass; unreachable_pass;
     sccp_unreachable_pass; dead_store_pass ]
-
-(* Compatibility shim: an engine report over these passes, re-sorted
-   into the original (pc, kind) order and retyped. *)
-let of_engine (er : Engine.report) =
-  let diags =
-    List.map
-      (fun (d : Engine.diag) ->
-        let kind =
-          match kind_of_name d.d_pass with
-          | Some k -> k
-          | None -> invalid_arg ("Verify.check: unknown pass " ^ d.d_pass)
-        in
-        { pc = d.d_pc;
-          block = d.d_block;
-          severity = d.d_severity;
-          kind;
-          message = d.d_message;
-          disasm = d.d_disasm })
-      er.Engine.diags
-  in
-  let diags =
-    List.stable_sort
-      (fun a b -> compare (a.pc, a.kind) (b.pc, b.kind))
-      diags
-  in
-  { diags;
-    n_errors = er.Engine.n_errors;
-    n_warnings = er.Engine.n_warnings }
-
-let check (a : Analysis.t) = of_engine (Engine.run passes a)
-
-let errors r = List.filter (fun d -> d.severity = Error) r.diags
-let warnings r = List.filter (fun d -> d.severity = Warning) r.diags
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic cross-validation: replay a trace against the static facts.  *)

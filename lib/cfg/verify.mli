@@ -39,44 +39,16 @@ type kind =
         propagation (warning) *)
   | Dead_store  (** register written but never read (warning) *)
 
-type diag = {
-  pc : int;
-  block : int;  (** global block id, [-1] when the pc has none *)
-  severity : severity;
-  kind : kind;
-  message : string;
-  disasm : string;  (** disassembly of the offending instruction *)
-}
-
-type report = {
-  diags : diag list;  (** sorted by pc *)
-  n_errors : int;
-  n_warnings : int;
-}
-
 val passes : Engine.pass list
 (** Every diagnostic class as a registered engine pass (one per
-    {!kind}, same kebab-case names), for callers that want per-pass
-    configuration, JSON output or observability via {!Engine.run}. *)
+    {!kind}, named by {!kind_name}).  Run them with {!Engine.run},
+    which adds per-pass configuration, JSON output and
+    observability. *)
 
-val check : Analysis.t -> report
-(** Runs every pass of {!passes} under {!Engine.default_config} and
-    presents the result in the historical shape, sorted by (pc, kind). *)
-
-val of_engine : Engine.report -> report
-(** Retype an engine report over {!passes} into the historical shape
-    (for callers that ran the engine themselves, e.g. with a custom
-    configuration). *)
-
-val errors : report -> diag list
-val warnings : report -> diag list
 val kind_name : kind -> string
-
-val kind_of_name : string -> kind option
-(** Inverse of {!kind_name} (pass names are kind names). *)
+(** The kebab-case name of the class's pass. *)
 
 val severity_of : kind -> severity
-val pp_diag : Format.formatter -> diag -> unit
 
 val save_protocol_read : int Risc.Insn.t -> int -> bool
 (** Is a read of unified register [r] by this instruction part of the

@@ -1,16 +1,15 @@
 (** The one definition of the parallelism command-line surface.
 
-    [run], [serve], [fuzz] and the bench all take the same three
-    knobs — [--jobs], [--segment-steps], [--scheduler] — and before
-    this module each hand-rolled its own copy of the flags and their
-    validation.  Now the flags are declared once (the Cmdliner terms
-    below; the bench, which parses argv by hand, reuses the pure
-    parsers), and every malformed value takes the same typed error
-    path: an [Invalid_request] {!Pipeline_error.t}, exit code 2.
+    [run], [serve], [fuzz] and the bench all take [--jobs], and [run],
+    [serve] and the bench take [--segment-steps]; before this module
+    each hand-rolled its own copy of the flags and their validation.
+    Now the flags are declared once (the Cmdliner terms below; the
+    bench, which parses argv by hand, reuses the pure parsers), and
+    every malformed value takes the same typed error path: an
+    [Invalid_request] {!Pipeline_error.t}, exit code 2.
 
-    None of these parsers can affect analysis results: jobs, stride
-    and scheduler are scheduling-only by the pool's determinism
-    contract. *)
+    None of these parsers can affect analysis results: jobs and stride
+    are scheduling-only by the pool's determinism contract. *)
 
 val resolve_jobs : int option -> int
 (** An absent [--jobs] means {!Stdx.Pool.recommended_jobs}. *)
@@ -25,12 +24,6 @@ val segmenting_of_flag :
     is [`Off]; anything not a positive integer or ["auto"] is the
     typed [Invalid_request]. *)
 
-val scheduler_of_flag :
-  string option -> (Stdx.Pool.scheduler, Pipeline_error.t) result
-(** [--scheduler locked|steal] → the pool scheduler.  [None] is
-    {!Stdx.Pool.default_scheduler}; an unknown name is the typed
-    [Invalid_request] listing the valid ones. *)
-
 (** {2 Cmdliner terms}
 
     Shared flag declarations, so names, docv and docs cannot drift
@@ -39,5 +32,4 @@ val scheduler_of_flag :
     different units of work. *)
 
 val jobs_arg : int option Cmdliner.Term.t
-val scheduler_arg : string option Cmdliner.Term.t
 val segment_steps_arg : ?doc:string -> unit -> string option Cmdliner.Term.t

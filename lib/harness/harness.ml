@@ -388,7 +388,6 @@ module Run = struct
   type config = {
     specs : spec list;
     jobs : int;
-    scheduler : Stdx.Pool.scheduler;
     fuel : int option;
     step_budget : int option;
     mem_words : int option;
@@ -399,10 +398,10 @@ module Run = struct
     segment_steps : segmenting;
   }
 
-  let config ?(jobs = 1) ?(scheduler = Stdx.Pool.default_scheduler) ?fuel
-      ?step_budget ?mem_words ?options ?(stream = false) ?deadline_ms
-      ?(obs = Obs.Ctx.disabled) ?(segment_steps = `Off) specs =
-    { specs; jobs; scheduler; fuel; step_budget; mem_words; options; stream;
+  let config ?(jobs = 1) ?fuel ?step_budget ?mem_words ?options
+      ?(stream = false) ?deadline_ms ?(obs = Obs.Ctx.disabled)
+      ?(segment_steps = `Off) specs =
+    { specs; jobs; fuel; step_budget; mem_words; options; stream;
       deadline_ms; obs; segment_steps }
 
   type item = {
@@ -598,7 +597,7 @@ module Run = struct
       Ok (List.map (fun iw -> task iw) indexed)
     | _ when not seg_on ->
       Ok
-        (Stdx.Pool.with_pool ~scheduler:cfg.scheduler ~jobs (fun pool ->
+        (Stdx.Pool.with_pool ~jobs (fun pool ->
              Stdx.Pool.map_list pool (fun iw -> task iw) indexed))
     | _ ->
       (* Segmentation wants the pool inside every task (decode +
@@ -607,7 +606,7 @@ module Run = struct
          safe: the pool's submitters and awaiters help drain the
          queue. *)
       Ok
-        (Stdx.Pool.with_pool ~scheduler:cfg.scheduler ~jobs (fun pool ->
+        (Stdx.Pool.with_pool ~jobs (fun pool ->
              Stdx.Pool.map_list pool (fun iw -> task ~pool iw) indexed))
 end
 
@@ -730,7 +729,6 @@ end
 
 type check_result = {
   c_workload : string;
-  c_report : Cfg.Verify.report;
   c_engine : Cfg.Engine.report;
   c_status : Vm.Exec.status option;
   c_dyn_entries : int;
@@ -746,7 +744,6 @@ let check ?options ?config ?(obs = Obs.Ctx.disabled) ?fuel
     Cfg.Engine.run ~obs ?config ~workload:w.Workloads.Registry.name
       Cfg.Verify.passes a
   in
-  let report = Cfg.Verify.of_engine engine in
   if dynamic then begin
     let fuel =
       match fuel with Some f -> f | None -> w.Workloads.Registry.fuel
@@ -759,7 +756,6 @@ let check ?options ?config ?(obs = Obs.Ctx.disabled) ?fuel
     in
     Counters.record_execution ();
     { c_workload = w.Workloads.Registry.name;
-      c_report = report;
       c_engine = engine;
       c_status = Some outcome.status;
       c_dyn_entries = Cfg.Verify.Dynamic.entries d;
@@ -768,7 +764,6 @@ let check ?options ?config ?(obs = Obs.Ctx.disabled) ?fuel
   end
   else
     { c_workload = w.Workloads.Registry.name;
-      c_report = report;
       c_engine = engine;
       c_status = None;
       c_dyn_entries = 0;
@@ -983,7 +978,6 @@ module Fuzz = struct
     | O_escaped of escaped
 
   let run ?fuel ?(workloads = Workloads.Registry.all) ?(jobs = 1)
-      ?(scheduler = Stdx.Pool.default_scheduler)
       ?(obs = Obs.Ctx.disabled) ?(random_machines = false)
       ?(segments = false) ~seed ~cases () =
     let* jobs = validate_jobs jobs in
@@ -1055,7 +1049,7 @@ module Fuzz = struct
     in
     let outcomes =
       if jobs > 1 && cases > 1 then
-        Stdx.Pool.with_pool ~scheduler ~jobs (fun pool ->
+        Stdx.Pool.with_pool ~jobs (fun pool ->
             Stdx.Pool.map_array pool case (Array.init cases Fun.id))
       else Array.init cases case
     in

@@ -208,12 +208,9 @@ type segmenting = [ `Off | `Auto | `Steps of int ]
 module Run : sig
   type config = {
     specs : spec list;  (** analysis fan-out, shared by every workload *)
-    jobs : int;  (** domain-pool width; [1] never spawns a domain *)
-    scheduler : Stdx.Pool.scheduler;
-    (** which pool implementation backs [jobs > 1] runs (locked queue
-        or work-stealing deques).  Scheduling only: results are
-        bit-identical across schedulers, and [jobs = 1] never consults
-        it. *)
+    jobs : int;
+    (** domain-pool width; [1] never spawns a domain.  Scheduling
+        only: results are bit-identical for every width. *)
     fuel : int option;
     (** instruction budget override ([None]: each workload's own) *)
     step_budget : int option;
@@ -242,7 +239,6 @@ module Run : sig
 
   val config :
     ?jobs:int ->
-    ?scheduler:Stdx.Pool.scheduler ->
     ?fuel:int ->
     ?step_budget:int ->
     ?mem_words:int ->
@@ -253,8 +249,7 @@ module Run : sig
     ?segment_steps:segmenting ->
     spec list ->
     config
-  (** Defaults: sequential ([jobs = 1]),
-      {!Stdx.Pool.default_scheduler}, workload fuel, no step budget,
+  (** Defaults: sequential ([jobs = 1]), workload fuel, no step budget,
       default VM memory, no compile options, materialized trace, no
       deadline, observability disabled, no segmentation. *)
 
@@ -365,10 +360,9 @@ end
     trace cross-validation) over one workload. *)
 type check_result = {
   c_workload : string;
-  c_report : Cfg.Verify.report;  (** static diagnostics, historical shape *)
   c_engine : Cfg.Engine.report;
-  (** the same diagnostics as the engine produced them: (proc, pc,
-      class) order, effective severities, per-pass timings *)
+  (** static diagnostics in (proc, pc, class) order, with effective
+      severities and per-pass timings *)
   c_status : Vm.Exec.status option;
   (** how the dynamic execution ended ([None] if static only) *)
   c_dyn_entries : int;  (** trace entries checked dynamically (0 if static only) *)
@@ -486,7 +480,6 @@ module Fuzz : sig
     ?fuel:int ->
     ?workloads:Workloads.Registry.t list ->
     ?jobs:int ->
-    ?scheduler:Stdx.Pool.scheduler ->
     ?obs:Obs.Ctx.t ->
     ?random_machines:bool ->
     ?segments:bool ->

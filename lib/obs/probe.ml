@@ -115,7 +115,7 @@ let pool_instruments registry =
         "pool_queue_depth_highwater";
     p_deque_hw =
       Metrics.gauge registry
-        ~help:"deepest single deque high-water (= queue depth when locked)"
+        ~help:"deepest single deque high-water"
         "pool_deque_depth_highwater";
     p_in_flight_hw =
       Metrics.gauge registry ~help:"pool tasks-in-flight high-water"

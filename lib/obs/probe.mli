@@ -62,18 +62,16 @@ val pool : Metrics.t -> Stdx.Pool.probe
     - [pool_tasks_submitted_total] / [pool_tasks_completed_total]
     - [pool_queue_depth_highwater] (aggregate queued tasks across all
       deques) and [pool_deque_depth_highwater] (deepest single deque —
-      equal to the aggregate under the locked scheduler, strictly more
-      informative under stealing where the aggregate can be spread
-      thin while one deque is deep)
+      the aggregate can be spread thin while one deque is deep)
     - [pool_tasks_in_flight_highwater]
     - [pool_steal_attempts_total] / [pool_steals_total] /
       [pool_parks_total] / [pool_wakes_total]
 
     High-water gauges are max-updates and counters only increment, so
     the instruments stay commutative and a quiescent pool's totals are
-    deterministic.  The callback may run under a pool lock or on a
-    bare worker domain: it must stay non-blocking and never re-enter
-    the pool — atomic metric updates qualify. *)
+    deterministic.  The callback may run under the pool's parking
+    lock or on a bare worker domain: it must stay non-blocking and
+    never re-enter the pool — atomic metric updates qualify. *)
 
 val pool_stats : Metrics.t -> Stdx.Pool.stats -> unit
 (** Publish a {!Stdx.Pool.stats} snapshot into the same named

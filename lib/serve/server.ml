@@ -7,7 +7,6 @@ type config = {
   socket_path : string;
   tcp : (string * int) option;
   jobs : int;
-  scheduler : Stdx.Pool.scheduler;
   queue_limit : int;
   cache_capacity : int;
   admission : admission;
@@ -20,8 +19,7 @@ type config = {
   segment_steps : Harness.segmenting;
 }
 
-let config ?tcp ?jobs ?(scheduler = Stdx.Pool.default_scheduler)
-    ?(queue_limit = 64) ?(cache_capacity = 32)
+let config ?tcp ?jobs ?(queue_limit = 64) ?(cache_capacity = 32)
     ?(admission = Admit_off) ?(max_fuel = 100_000_000)
     ?(max_step_budget = 100_000_000) ?default_deadline_ms ?idle_timeout_ms
     ?(retry_after_ms = 50) ?(registry = Obs.Metrics.global)
@@ -29,7 +27,7 @@ let config ?tcp ?jobs ?(scheduler = Stdx.Pool.default_scheduler)
   let jobs =
     match jobs with Some j -> max 1 j | None -> Stdx.Pool.recommended_jobs ()
   in
-  { socket_path; tcp; jobs; scheduler; queue_limit; cache_capacity;
+  { socket_path; tcp; jobs; queue_limit; cache_capacity;
     admission; max_fuel; max_step_budget; default_deadline_ms;
     idle_timeout_ms; retry_after_ms; registry; segment_steps }
 
@@ -600,7 +598,7 @@ let start cfg =
         wake_r;
         wake_w;
         queue = Rqueue.create ~limit:cfg.queue_limit;
-        pool = Stdx.Pool.create ~scheduler:cfg.scheduler ~jobs:cfg.jobs ();
+        pool = Stdx.Pool.create ~jobs:cfg.jobs ();
         cache = Cache.create ~capacity:cfg.cache_capacity;
         obs = Obs.Ctx.create ~registry:r ();
         flag_draining = Atomic.make false;

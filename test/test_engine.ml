@@ -155,17 +155,6 @@ let test_metrics_and_spans () =
   Alcotest.(check bool) "per-pass spans recorded" true
     (Array.length spans >= List.length Cfg.Verify.passes)
 
-(* The compatibility shim: Verify.check must agree with a direct
-   engine run, diag for diag. *)
-let test_verify_compat () =
-  let a = Cfg.Analysis.analyze (P.resolve warny) in
-  let er = E.run Cfg.Verify.passes a in
-  let vr = Cfg.Verify.of_engine er in
-  Alcotest.(check int) "same error count" er.n_errors vr.n_errors;
-  Alcotest.(check int) "same warning count" er.n_warnings vr.n_warnings;
-  Alcotest.(check int) "same diag count"
-    (List.length er.diags) (List.length vr.diags)
-
 let suite =
   [ Alcotest.test_case "baseline run" `Quick test_baseline;
     Alcotest.test_case "disable a pass" `Quick test_disable;
@@ -174,5 +163,4 @@ let suite =
     Alcotest.test_case "deterministic ordering" `Quick test_ordering;
     Alcotest.test_case "per-pass timings" `Quick test_timings;
     Alcotest.test_case "json rendering" `Quick test_render_json;
-    Alcotest.test_case "metrics and spans" `Quick test_metrics_and_spans;
-    Alcotest.test_case "verify compatibility" `Quick test_verify_compat ]
+    Alcotest.test_case "metrics and spans" `Quick test_metrics_and_spans ]

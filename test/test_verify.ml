@@ -9,17 +9,22 @@ module I = Risc.Insn
 module P = Asm.Program
 module R = Risc.Reg
 module V = Cfg.Verify
+module E = Cfg.Engine
 
-let report_of (prog : P.t) = V.check (Cfg.Analysis.analyze (P.resolve prog))
+let verify flat = E.run V.passes (Cfg.Analysis.analyze flat)
+let report_of (prog : P.t) = verify (P.resolve prog)
 
-let error_kinds r = List.map (fun (d : V.diag) -> d.kind) (V.errors r)
+let with_severity sev (r : E.report) =
+  List.filter (fun (d : E.diag) -> d.d_severity = sev) r.diags
 
+(* Passes are named by their diagnostic class, so a diagnostic's pass
+   name identifies the class it trips. *)
 let check_only_error kind prog =
   let r = report_of prog in
   Alcotest.(check (list string))
     ("errors are " ^ V.kind_name kind)
     [ V.kind_name kind ]
-    (List.map V.kind_name (error_kinds r))
+    (List.map (fun (d : E.diag) -> d.d_pass) (with_severity E.Error r))
 
 let main_halt body = { P.name = "main"; body = body @ [ P.Ins I.Halt ] }
 
@@ -100,7 +105,9 @@ let test_uninit_read () =
        [])
 
 let has_warning kind r =
-  List.exists (fun (d : V.diag) -> d.kind = kind) (V.warnings r)
+  List.exists
+    (fun (d : E.diag) -> d.d_pass = V.kind_name kind)
+    (with_severity E.Warning r)
 
 let test_unreachable_block () =
   let r =
@@ -122,8 +129,8 @@ let test_dead_store () =
   Alcotest.(check int) "no errors" 0 r.n_errors;
   Alcotest.(check bool) "overwritten store flagged" true
     (List.exists
-       (fun (d : V.diag) -> d.kind = V.Dead_store && d.pc = 0)
-       (V.warnings r))
+       (fun (d : E.diag) -> d.d_pass = V.kind_name V.Dead_store && d.d_pc = 0)
+       (with_severity E.Warning r))
 
 (* --- positives ------------------------------------------------------ *)
 
@@ -132,11 +139,11 @@ let test_random_programs_verify_clean =
     (QCheck.make ~print:(fun s -> s) Gen_minic.gen_program)
     (fun src ->
       let flat = Codegen.Compile.compile_flat src in
-      let r = V.check (Cfg.Analysis.analyze flat) in
+      let r = verify flat in
       if r.n_errors <> 0 then
         QCheck.Test.fail_reportf "verifier errors on generated program:@ %a"
-          (Format.pp_print_list V.pp_diag)
-          (V.errors r);
+          (Format.pp_print_list E.pp_diag)
+          (with_severity E.Error r);
       true)
 
 let test_workloads_verify_clean () =
@@ -145,7 +152,7 @@ let test_workloads_verify_clean () =
       let res = Harness.check w in
       Alcotest.(check int)
         (w.name ^ " verifies without errors")
-        0 res.c_report.n_errors)
+        0 res.c_engine.n_errors)
     Workloads.Registry.all
 
 (* --- dynamic cross-validation --------------------------------------- *)
@@ -186,7 +193,7 @@ let test_dynamic_catches_uninit_path () =
            P.Label "skip";
            P.Ins (I.Alui (I.Add, 10, 9, 0)) ])
   in
-  let r = V.check (Cfg.Analysis.analyze flat) in
+  let r = verify flat in
   Alcotest.(check int) "static: no errors" 0 r.n_errors;
   Alcotest.(check bool) "static: warns" true
     (has_warning V.Maybe_uninit_read r);
