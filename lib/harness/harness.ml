@@ -235,12 +235,21 @@ let spec_key s =
     (match s.s_step_budget with None -> "-" | Some b -> string_of_int b)
     pred
 
-let resolve_predictor ~flat ~info ~profile = function
-  | `Profile -> Predict.Predictor.Profile.predictor profile
+(* One predictor record per kind for one program: configs share a
+   decode only when their predictor is physically the same record
+   ([Ilp.Analyze.compatible]), so the seven paper specs must all get the
+   one profile predictor. *)
+let predictor_of_kind ~flat ~info ~profile =
+  let profile = lazy (Predict.Predictor.Profile.predictor profile) in
+  let btfn =
+    lazy
+      (Predict.Predictor.backward_taken
+         ~is_backward:(Ilp.Program_info.branch_backward flat))
+  in
+  function
+  | `Profile -> Lazy.force profile
   | `Perfect -> Predict.Predictor.perfect
-  | `Btfn ->
-      Predict.Predictor.backward_taken
-        ~is_backward:(Ilp.Program_info.branch_backward flat)
+  | `Btfn -> Lazy.force btfn
   | `Two_bit ->
       (* stateful: a fresh counter table per spec, never shared *)
       Predict.Predictor.two_bit ~n_static:info.Ilp.Program_info.n
@@ -252,23 +261,25 @@ let resolve_predictor ~flat ~info ~profile = function
 let specs_need_values specs =
   List.exists (fun s -> s.s_machine.Ilp.Machine.value_predict) specs
 
-let config_of_spec ?(obs = Obs.Ctx.disabled) ?value_table ~flat ~info
-    ~profile s =
-  let predictor = resolve_predictor ~flat ~info ~profile s.s_predictor in
-  let value_table =
-    if s.s_machine.Ilp.Machine.value_predict then value_table else None
-  in
-  Ilp.Analyze.config ~inline:s.s_inline ~unroll:s.s_unroll
-    ~collect_segments:s.s_segments ~mem_words:Vm.Exec.default_mem_words
-    ?step_budget:s.s_step_budget ?value_table
-    ~probe:
-      (Obs.Ctx.analyzer_probe obs ~machine:s.s_machine.Ilp.Machine.name)
-    s.s_machine predictor
+let configs_of_specs ?(obs = Obs.Ctx.disabled) ?value_table ~flat ~info
+    ~profile specs =
+  let predictor = predictor_of_kind ~flat ~info ~profile in
+  List.map
+    (fun s ->
+      let value_table =
+        if s.s_machine.Ilp.Machine.value_predict then value_table else None
+      in
+      Ilp.Analyze.config ~inline:s.s_inline ~unroll:s.s_unroll
+        ~collect_segments:s.s_segments ~mem_words:Vm.Exec.default_mem_words
+        ?step_budget:s.s_step_budget ?value_table
+        ~probe:
+          (Obs.Ctx.analyzer_probe obs ~machine:s.s_machine.Ilp.Machine.name)
+        s.s_machine (predictor s.s_predictor))
+    specs
 
 (* ------------------------------------------------------------------ *)
 (* Intra-trace segmentation (DESIGN.md §15): how a run decides whether
-   to shard one workload's trace across domains, and how heterogeneous
-   spec lists are partitioned into decode-compatible groups. *)
+   to shard one workload's trace across domains. *)
 
 type segmenting = [ `Off | `Auto | `Steps of int ]
 
@@ -295,53 +306,26 @@ let warn_dead_jobs ~jobs ~tasks =
        trace)\n%!"
       jobs tasks
 
-(* One segment decode serves every spec whose masks and predictor
-   behavior agree: same inline/unroll and the same (stateless)
-   predictor kind.  Stateful kinds (2-bit) land in their own group and
-   fall back to the sequential fan-out. *)
-let seg_group_key s =
-  Printf.sprintf "i%c|u%c|%s"
-    (if s.s_inline then '1' else '0')
-    (if s.s_unroll then '1' else '0')
-    (match s.s_predictor with
-    | `Profile -> "profile"
-    | `Perfect -> "perfect"
-    | `Btfn -> "btfn"
-    | `Two_bit -> "2bit"
-    | `Custom p -> "custom:" ^ p.Predict.Predictor.name)
-
 (* The segmented analysis fan-out over one stream of trace entries:
-   specs are partitioned into decode-compatible groups (positions
-   remembered), each group gets a segmented sink — or the plain
-   [sink_many] when its configs are not segmentable — and the stream
-   is teed into all of them.  [finish] stitches every group and
-   scatters results back into spec order, so callers see exactly the
-   [run_many] contract.  Works identically over a live VM execution
-   (streaming) or a materialized trace ([Vm.Trace.feed]). *)
+   configs are partitioned into decode groups
+   ([Ilp.Analyze.decode_groups], positions remembered), each group gets
+   a segmented sink — or the plain [sink_many] for a stateful predictor's
+   group of one — and the stream is teed into all of them.  [finish]
+   stitches every group and scatters results back into config order, so
+   callers see exactly the [run_many] contract.  Works identically over
+   a live VM execution (streaming) or a materialized trace
+   ([Vm.Trace.feed]). *)
 let segmented_sinks ?pool ?(obs = Obs.Ctx.disabled)
-    ?(span_index_base = 0) ?(workload = "") ?check ~segment_steps specs
-    configs info =
-  let spec_arr = Array.of_list specs in
+    ?(span_index_base = 0) ?(workload = "") ?check ~segment_steps configs
+    info =
   let cfg_arr = Array.of_list configs in
-  let n = Array.length spec_arr in
-  let tbl = Hashtbl.create 7 in
-  Array.iteri
-    (fun i s ->
-      let k = seg_group_key s in
-      let prev = try Hashtbl.find tbl k with Not_found -> [] in
-      Hashtbl.replace tbl k (i :: prev))
-    spec_arr;
-  let groups =
-    Hashtbl.fold (fun _ ps acc -> List.rev ps :: acc) tbl []
-    |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
-  in
   (* Per group: result positions, its sink, and a finish yielding
      (results in group order, segments decoded). *)
   let members =
     List.mapi
       (fun g positions ->
         let cfgs = List.map (fun i -> cfg_arr.(i)) positions in
-        if Ilp.Segmented.compatible cfgs then
+        if Ilp.Analyze.compatible cfgs then
           let sink, finish =
             Ilp.Segmented.sink ?pool ~obs
               ~span_index_base:(span_index_base + (g * 10_000_000))
@@ -353,14 +337,14 @@ let segmented_sinks ?pool ?(obs = Obs.Ctx.disabled)
               let o = finish ?completeness () in
               (o.Ilp.Segmented.results, o.Ilp.Segmented.segments) )
         else
-          (* Not decode-sharable (stateful predictor): this group's
-             states advance directly on the stream, exactly the
+          (* Not decode-sharable (stateful predictor): this config's
+             state advances directly on the stream, exactly the
              sequential path. *)
           let sink, finish = Ilp.Analyze.sink_many cfgs info in
           ( positions,
             sink,
             fun ?completeness () -> (finish ?completeness (), 0) ))
-      groups
+      (Ilp.Analyze.decode_groups configs)
   in
   let sink =
     match members with
@@ -371,7 +355,7 @@ let segmented_sinks ?pool ?(obs = Obs.Ctx.disabled)
         Vm.Trace.null_sink members
   in
   let finish ?completeness () =
-    let out = Array.make n None in
+    let out = Array.make (Array.length cfg_arr) None in
     let total_segments = ref 0 in
     List.iter
       (fun (positions, _, fin) ->
@@ -421,10 +405,8 @@ module Run = struct
           else None
         in
         let configs =
-          List.map
-            (config_of_spec ~obs ?value_table ~flat:p.flat ~info:p.info
-               ~profile:p.profile)
-            specs
+          configs_of_specs ~obs ?value_table ~flat:p.flat ~info:p.info
+            ~profile:p.profile specs
         in
         Counters.record_pass ~entries:(Vm.Trace.length p.trace)
           ~states:(List.length specs);
@@ -439,7 +421,7 @@ module Run = struct
           let sink, finish =
             segmented_sinks ?pool ~obs
               ~span_index_base:((task_index + 1) * 100_000_000)
-              ~workload:name ~segment_steps specs configs p.info
+              ~workload:name ~segment_steps configs p.info
           in
           Vm.Trace.feed p.trace sink;
           finish ~completeness:p.completeness ())
@@ -466,7 +448,9 @@ module Run = struct
        Nothing is materialized in between.  A deadline rides the
        observe hook of both executions — and because analysis happens
        {e inside} execution 2's retirement path, the wall-clock guard
-       covers the analyzer too, which a materialized scan would not. *)
+       covers the analyzer too, which a materialized scan would not.
+       The last partial chunk is analyzed at close, after the last
+       observe call, so the clock is checked once more after [finish]. *)
     let o1 =
       Obs.Span.with_span span_buf ~workload:name "execute" (fun () ->
           Vm.Exec.run ?mem_words ~fuel ~record:false ~probe ?observe
@@ -479,8 +463,7 @@ module Run = struct
           Option.map Predict.Predictor.Value.table values
         in
         let configs =
-          List.map (config_of_spec ~obs ?value_table ~flat ~info ~profile)
-            specs
+          configs_of_specs ~obs ?value_table ~flat ~info ~profile specs
         in
         (* The profiling execution retired exactly the entries the
            analysis execution will (same program, fuel, memory), so
@@ -496,7 +479,7 @@ module Run = struct
             let check () = Option.iter Obs.Deadline.check deadline in
             segmented_sinks ?pool ~obs
               ~span_index_base:((task_index + 1) * 100_000_000)
-              ~workload:name ~check ~segment_steps specs configs info
+              ~workload:name ~check ~segment_steps configs info
         in
         let o2 =
           Vm.Exec.run ?mem_words ~fuel ~record:false ~probe
@@ -504,8 +487,9 @@ module Run = struct
         in
         Counters.record_execution ();
         Counters.record_pass ~entries:o2.steps ~states:(List.length specs);
-        ( finish ~completeness:(Vm.Exec.completeness_of o2) (),
-          o2.steps, o2.status ))
+        let results = finish ~completeness:(Vm.Exec.completeness_of o2) () in
+        Option.iter Obs.Deadline.check deadline;
+        (results, o2.steps, o2.status))
 
   let stream_flat ?mem_words ?deadline ?pool ?segmenting ?jobs ?task_index
       ~obs ~span_buf ~fuel w flat specs =

@@ -149,9 +149,11 @@ val profile_predictor : prepared -> Predict.Predictor.t
 (** The paper's predictor: profile statistics from this same trace
     (already gathered during execution; no trace scan). *)
 
-(** Which predictor a spec's analysis uses.  [`Profile] is the paper's
-    (shared across specs — it is stateless); [`Two_bit] gets a fresh
-    counter table per spec, as required for a stateful predictor. *)
+(** Which predictor a spec's analysis uses.  [`Profile] is the paper's.
+    Each stateless kind resolves to one record per program, shared by
+    every spec of that kind, so those specs share one decode
+    ({!Ilp.Analyze.compatible}); [`Two_bit] gets a fresh counter table
+    per spec, as required for a stateful predictor. *)
 type predictor_kind =
   [ `Profile | `Perfect | `Btfn | `Two_bit
   | `Custom of Predict.Predictor.t ]

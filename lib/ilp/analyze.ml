@@ -16,9 +16,37 @@ let config ?(inline = true) ?(unroll = true) ?(collect_segments = false)
   { machine; inline; unroll; predictor; collect_segments; mem_words;
     step_budget; value_table; probe }
 
+(* The one decode-sharing rule: configs classify every entry
+   identically when they share the inline/unroll masks and the same
+   stateless predictor record.  Identity, not name — two "profile"
+   predictors trained on different traces disagree. *)
+let compatible = function
+  | [] -> false
+  | (c0 : config) :: rest ->
+    (not c0.predictor.Predict.Predictor.stateful)
+    && List.for_all
+         (fun (c : config) ->
+           c.inline = c0.inline && c.unroll = c0.unroll
+           && c.predictor == c0.predictor)
+         rest
+
+(* Greedy: a config joins the first group whose first member it is
+   compatible with.  Compatibility is an equivalence on stateless
+   configs, so the first member speaks for the whole group. *)
+let decode_groups configs =
+  let rec add i c = function
+    | [] -> [ (c, [ i ]) ]
+    | (c0, is) :: gs when compatible [ c0; c ] -> (c0, i :: is) :: gs
+    | g :: gs -> g :: add i c gs
+  in
+  let _, groups =
+    List.fold_left (fun (i, gs) c -> (i + 1, add i c gs)) (0, []) configs
+  in
+  List.map (fun (_, is) -> List.rev is) groups
+
 (* Per-config masks over the packed Program_info flags.  Shared between
-   the sequential state and the segment decoder so both classify
-   entries with exactly the same tests. *)
+   the state and the segment decoder so both classify entries with
+   exactly the same tests. *)
 let removed_mask_of (cfg : config) =
   Program_info.f_stop
   lor (if cfg.inline then
@@ -78,15 +106,16 @@ type result = {
 }
 
 (* Incremental per-machine analysis: all the state one machine model
-   needs to consume a trace one entry at a time.  [step] is the body of
-   what used to be the per-entry loop; a fan-out driver advances many
-   states over a single pass (or a single VM execution, via {!sink_many}).
+   needs to consume decoded trace entries in order.  [step_bits] is the
+   one per-entry transition; the fan-out below runs it over a whole
+   decoded chunk per state before moving to the next state.
 
    The layout is tuned for that per-entry loop: machine knobs are
    hoisted into flat [k_*] bools, the predictor closure and the static
    tables sit one field away, the interprocedural activation stack is a
-   packed int array instead of a list of records, and the loop itself
-   allocates nothing. *)
+   packed int array instead of a list of records, and the loop
+   allocates nothing: its helpers are closed top-level functions, since
+   a local closure would be allocated on every entry. *)
 module State = struct
   (* Packed activation frames: frame [i] occupies the four ints at
      [4*i] — entry sequence number, then the call site's resolved
@@ -96,8 +125,8 @@ module State = struct
   type t = {
     cfg : config;
     info : Program_info.t;
-    (* Per-config masks over the packed Program_info flags, so [step]
-       re-derives nothing per entry. *)
+    (* Per-config masks over the packed Program_info flags, so the
+       per-entry path re-derives nothing. *)
     removed_mask : int;  (* any bit set => not in the timed trace *)
     cjump_mask : int;  (* any bit set => treated as computed jump *)
     (* Machine knobs and static tables, hoisted flat so the per-entry
@@ -152,10 +181,15 @@ module State = struct
     mutable seg_max : int;
     segments : segment Stdx.Vec.t;
     (* Control-dependence resolution results, kept as fields so the hot
-       path stays allocation-free. *)
+       path stays allocation-free.  [r_blk] is the block they were
+       resolved for, or -1: [resolve]'s inputs change only at a write
+       to the per-block branch tables or at a call or return, each of
+       which clears it, so every other entry of the same block reuses
+       the result. *)
     mutable r_seq : int;
     mutable r_time : int;
     mutable r_mchain : int;
+    mutable r_blk : int;
     (* Resource guard: once the step budget is hit, remaining entries
        are dropped and the result is tagged Truncated. *)
     mutable budget_hit : Pipeline_error.fault_info option;
@@ -253,6 +287,7 @@ module State = struct
       r_seq = 0;
       r_time = 0;
       r_mchain = 0;
+      r_blk = -1;
       budget_hit = None;
       probe = cfg.probe;
       prof_on = cfg.probe.Obs.Probe.a_enabled;
@@ -271,49 +306,77 @@ module State = struct
      discarded anyway.  Indices are proven: [blk] and the RDF entries
      are block ids below [n_blocks], the length of every per-block
      table. *)
-  let resolve st blk =
-    let rdf = Array.unsafe_get st.rdf blk in
-    let n = Array.length rdf in
-    let cur_entry = st.cur_entry in
-    let rec go k seq time mchain =
-      if k >= n then begin
-        st.r_seq <- seq;
-        st.r_time <- time;
-        st.r_mchain <- mchain
-      end
-      else
-        let c = Array.unsafe_get rdf k in
-        let cand = Array.unsafe_get st.cand_seq c in
-        if cand > 0 then begin
-          let proc = Array.unsafe_get st.b_proc c in
-          if proc > cur_entry then begin
-            st.r_seq <- 0;
-            st.r_time <- 0;
-            st.r_mchain <- 0
-          end
-          else if proc = cur_entry && cand > seq then
-            go (k + 1) cand
-              (Array.unsafe_get st.b_time c)
-              (Array.unsafe_get st.b_mchain c)
-          else go (k + 1) seq time mchain
+  let rec resolve_scan st (rdf : int array) (cur_entry : int) (k : int)
+      (seq : int) (time : int) (mchain : int) =
+    if k >= Array.length rdf then begin
+      st.r_seq <- seq;
+      st.r_time <- time;
+      st.r_mchain <- mchain
+    end
+    else
+      let c = Array.unsafe_get rdf k in
+      let cand = Array.unsafe_get st.cand_seq c in
+      if cand > 0 then begin
+        let proc = Array.unsafe_get st.b_proc c in
+        if proc > cur_entry then begin
+          st.r_seq <- 0;
+          st.r_time <- 0;
+          st.r_mchain <- 0
         end
-        else go (k + 1) seq time mchain
-    in
-    go 0 st.ctx_seq st.ctx_time st.ctx_mchain
+        else if proc = cur_entry && cand > seq then
+          resolve_scan st rdf cur_entry (k + 1) cand
+            (Array.unsafe_get st.b_time c)
+            (Array.unsafe_get st.b_mchain c)
+        else resolve_scan st rdf cur_entry (k + 1) seq time mchain
+      end
+      else resolve_scan st rdf cur_entry (k + 1) seq time mchain
+
+  let resolve st blk =
+    if st.r_blk <> blk then begin
+      resolve_scan st (Array.unsafe_get st.rdf blk) st.cur_entry 0
+        st.ctx_seq st.ctx_time st.ctx_mchain;
+      st.r_blk <- blk
+    end
+
+  (* Record the branch instance terminating [blk]: [resolve]'s inputs
+     changed, so its cached result is stale. *)
+  let set_branch st blk ~time ~mchain =
+    Array.unsafe_set st.cand_seq blk st.cur_block_seq;
+    Array.unsafe_set st.b_proc blk st.cur_entry;
+    Array.unsafe_set st.b_time blk time;
+    Array.unsafe_set st.b_mchain blk mchain;
+    st.r_blk <- -1
+
+  (* True data dependences over register uses. *)
+  let rec max_use (reg_time : int array) (uses : int array) (k : int)
+      (acc : int) =
+    if k >= Array.length uses then acc
+    else
+      let time = Array.unsafe_get reg_time (Array.unsafe_get uses k) in
+      max_use reg_time uses (k + 1) (if time > acc then time else acc)
+
+  (* The flow of control free earliest (lowest index on ties). *)
+  let rec best_flow (flow_time : int array) (k : int) (b : int) =
+    if k >= Array.length flow_time then b
+    else
+      best_flow flow_time (k + 1)
+        (if Array.unsafe_get flow_time k < Array.unsafe_get flow_time b
+         then k
+         else b)
 
   (* The per-entry transition, split from classification: [bits] is
      the entry's decoded word — the static flags plus the
      [b_mispred]/[b_invalid] markers — computed by {!classify} against
-     this config's masks and predictor.  The sequential [step]
-     classifies and applies in one call; segmented analysis classifies
-     whole segments concurrently and replays [do_step] here in trace
-     order, so both paths execute the identical transition sequence.
-     [classify]'s bounds check on the trace-supplied [pc] (surfacing
-     as [b_invalid]) proves every per-instruction table access below,
-     so the rest of the step reads unsafely. *)
+     this config's masks and predictor.  The fan-out classifies a chunk
+     per decode group and segmented analysis whole segments
+     concurrently; both replay [do_step] here in trace order, so every
+     path executes the identical transition sequence.  [classify]'s
+     bounds check on the trace-supplied [pc] (surfacing as
+     [b_invalid]) proves every per-instruction table access below, so
+     the rest of the step reads unsafely. *)
   let do_step st ~pc ~aux ~bits =
     if bits land b_invalid <> 0 then
-      invalid_arg "Analyze.step: pc outside the code segment";
+      invalid_arg "Analyze.State.step_bits: pc outside the code segment";
     if st.prof_on then begin
       st.p_entries <- st.p_entries + 1;
       st.prof_left <- st.prof_left - 1;
@@ -354,9 +417,11 @@ module State = struct
       st.cur_entry <- st.seq_counter + 1;
       st.ctx_seq <- st.r_seq;
       st.ctx_time <- st.r_time;
-      st.ctx_mchain <- st.r_mchain
+      st.ctx_mchain <- st.r_mchain;
+      st.r_blk <- -1
     end
     else if flags land Program_info.f_ret <> 0 then begin
+      st.r_blk <- -1;
       if st.stack_len > 0 then begin
         st.stack_len <- st.stack_len - 1;
         let base = frame_words * st.stack_len in
@@ -380,10 +445,7 @@ module State = struct
       if flags land Program_info.f_cond_branch <> 0 && st.k_control_dep
       then begin
         resolve st blk;
-        Array.unsafe_set st.cand_seq blk st.cur_block_seq;
-        Array.unsafe_set st.b_proc blk st.cur_entry;
-        Array.unsafe_set st.b_time blk st.r_time;
-        Array.unsafe_set st.b_mchain blk st.r_mchain
+        set_branch st blk ~time:st.r_time ~mchain:st.r_mchain
       end
     end
     else begin
@@ -397,21 +459,10 @@ module State = struct
         else if st.k_control_dep then st.r_time
         else st.last_branch_time
       in
-      (* True data dependences: max over register uses (accumulator
-         recursion, not a heap ref) and the last write of a loaded
-         address. *)
-      let uses = Array.unsafe_get st.uses pc in
-      let n_uses = Array.length uses in
+      (* True data dependences: max over register uses and the last
+         write of a loaded address. *)
       let reg_time = st.reg_time in
-      let rec max_use k acc =
-        if k >= n_uses then acc
-        else
-          let time =
-            Array.unsafe_get reg_time (Array.unsafe_get uses k)
-          in
-          max_use (k + 1) (if time > acc then time else acc)
-      in
-      let data = max_use 0 0 in
+      let data = max_use reg_time (Array.unsafe_get st.uses pc) 0 0 in
       let data =
         if flags land Program_info.f_mem_load <> 0 then begin
           let time = Stdx.Mem_table.get st.mem aux in
@@ -438,20 +489,9 @@ module State = struct
         && ((not st.k_speculate) || mispred)
       in
       let flow_time = st.flow_time in
-      let n_flows = Array.length flow_time in
       let flow_idx =
-        if serializing && n_flows > 0 then begin
-          let rec best k b =
-            if k >= n_flows then b
-            else
-              best (k + 1)
-                (if Array.unsafe_get flow_time k
-                    < Array.unsafe_get flow_time b
-                 then k
-                 else b)
-          in
-          best 1 0
-        end
+        if serializing && Array.length flow_time > 0 then
+          best_flow flow_time 1 0
         else -1
       in
       let t =
@@ -517,11 +557,8 @@ module State = struct
         if completion > st.seg_max then st.seg_max <- completion
       end;
       if is_cbr || is_cjump then begin
-        Array.unsafe_set st.cand_seq blk st.cur_block_seq;
-        Array.unsafe_set st.b_proc blk st.cur_entry;
-        Array.unsafe_set st.b_time blk completion;
-        Array.unsafe_set st.b_mchain blk
-          (if mispred then completion else st.r_mchain);
+        set_branch st blk ~time:completion
+          ~mchain:(if mispred then completion else st.r_mchain);
         st.last_branch_time <- completion;
         if flow_idx >= 0 then
           Array.unsafe_set st.flow_time flow_idx completion;
@@ -544,8 +581,10 @@ module State = struct
      configured number of counted instructions has been analyzed, the
      remaining trace is dropped (graceful degradation, not an abort) and
      the result will carry a [Step_budget] truncation tag.  [budget] is
-     [max_int] when unconfigured, so the common case is one compare. *)
-  let step st ~pc ~aux =
+     [max_int] when unconfigured, so the common case is one compare.
+     The guard runs before [bits] is consulted, so entries decoded past
+     a budget cut (including invalid-pc markers) are dropped unapplied. *)
+  let step_bits st ~pc ~aux ~bits =
     match st.budget_hit with
     | Some _ -> st.p_flushed <- st.p_flushed + 1  (* cold: post-budget *)
     | None ->
@@ -555,28 +594,26 @@ module State = struct
             (Pipeline_error.fault ~pc ~step:st.counted
                ~detail:(Printf.sprintf "analysis step budget %d" st.budget)
                Pipeline_error.Step_budget)
-      else
-        do_step st ~pc ~aux
-          ~bits:
-            (classify ~n_code:st.n_code ~flags:st.flags
-               ~removed_mask:st.removed_mask ~predict:st.predict ~pc ~aux)
-
-  (* Same budget guard, pre-classified entry.  The segment stitcher
-     replays decoded entries through this in trace order; because the
-     budget is checked before [bits] is consulted, entries decoded
-     past a budget cut (including invalid-pc markers) are dropped
-     exactly as the sequential path drops them unclassified. *)
-  let step_bits st ~pc ~aux ~bits =
-    match st.budget_hit with
-    | Some _ -> st.p_flushed <- st.p_flushed + 1
-    | None ->
-      if st.counted >= st.budget then
-        st.budget_hit <-
-          Some
-            (Pipeline_error.fault ~pc ~step:st.counted
-               ~detail:(Printf.sprintf "analysis step budget %d" st.budget)
-               Pipeline_error.Step_budget)
       else do_step st ~pc ~aux ~bits
+
+  (* Classify entries [0 .. len - 1] into [bits] with this state's
+     masks and predictor, in trace order. *)
+  let decode st ~(pcs : int array) ~(auxs : int array) ~(bits : int array)
+      ~len =
+    let n_code = st.n_code and flags = st.flags in
+    let removed_mask = st.removed_mask and predict = st.predict in
+    for i = 0 to len - 1 do
+      Array.unsafe_set bits i
+        (classify ~n_code ~flags ~removed_mask ~predict
+           ~pc:(Array.unsafe_get pcs i) ~aux:(Array.unsafe_get auxs i))
+    done
+
+  let apply st ~(pcs : int array) ~(auxs : int array) ~(bits : int array)
+      ~len =
+    for i = 0 to len - 1 do
+      step_bits st ~pc:(Array.unsafe_get pcs i) ~aux:(Array.unsafe_get auxs i)
+        ~bits:(Array.unsafe_get bits i)
+    done
 
   let finish ?(completeness = Pipeline_error.Complete) st =
     if st.prof_on then begin
@@ -617,28 +654,67 @@ module State = struct
       completeness }
 end
 
-let sink_states (states : State.t array) =
-  match states with
-  | [| st |] ->
-    Vm.Trace.sink (fun ~pc ~aux -> State.step st ~pc ~aux)
-  | _ ->
-    Vm.Trace.sink (fun ~pc ~aux ->
-        for i = 0 to Array.length states - 1 do
-          State.step states.(i) ~pc ~aux
-        done)
+(* The fan-out, chunk-major: each decode group classifies a chunk once,
+   then every state of the group runs [step_bits] over the whole chunk
+   before the next state starts.  A state still sees its entries in
+   trace order, and a stateful predictor (a group of its own) still
+   classifies them in trace order, so results equal one state per
+   config stepped entry by entry.  The groups take turns on one [bits]
+   buffer. *)
+type fanout = {
+  states : State.t array;  (* config order *)
+  groups : State.t array array;
+  bits : int array;
+}
 
-let sink_many configs info =
+let fanout configs info =
   let states =
     Array.of_list (List.map (fun c -> State.create c info) configs)
   in
-  ( sink_states states,
-    fun ?completeness () ->
-      List.map (State.finish ?completeness) (Array.to_list states) )
+  { states;
+    groups =
+      Array.of_list
+        (List.map
+           (fun g -> Array.of_list (List.map (Array.get states) g))
+           (decode_groups configs));
+    bits = Array.make Vm.Trace.chunk_size 0 }
+
+let apply_chunk fo ~pcs ~auxs ~len =
+  let bits = fo.bits in
+  Array.iter
+    (fun group ->
+      State.decode group.(0) ~pcs ~auxs ~bits ~len;
+      Array.iter (fun st -> State.apply st ~pcs ~auxs ~bits ~len) group)
+    fo.groups
+
+let finish_all fo ?completeness () =
+  Array.to_list (Array.map (State.finish ?completeness) fo.states)
 
 let run_many ?completeness configs info trace =
-  let sink, finish = sink_many configs info in
-  Vm.Trace.feed trace sink;
-  finish ?completeness ()
+  let fo = fanout configs info in
+  Vm.Trace.iter_chunks (apply_chunk fo) trace;
+  finish_all fo ?completeness ()
+
+(* The live-VM form buffers one chunk in two reused arrays and applies
+   it when full and at close. *)
+let sink_many configs info =
+  let fo = fanout configs info in
+  let pcs = Array.make Vm.Trace.chunk_size 0 in
+  let auxs = Array.make Vm.Trace.chunk_size 0 in
+  let len = ref 0 in
+  let flush () =
+    let n = !len in
+    len := 0;
+    if n > 0 then apply_chunk fo ~pcs ~auxs ~len:n
+  in
+  let on_entry ~pc ~aux =
+    let i = !len in
+    Array.unsafe_set pcs i pc;
+    Array.unsafe_set auxs i aux;
+    len := i + 1;
+    if i + 1 = Vm.Trace.chunk_size then flush ()
+  in
+  (Vm.Trace.sink ~on_close:flush on_entry, finish_all fo)
 
 let run ?completeness (cfg : config) (info : Program_info.t) trace =
   match run_many ?completeness [ cfg ] info trace with

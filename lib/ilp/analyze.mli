@@ -39,10 +39,14 @@
     latencies the sequential cycles equal the number of counted
     instructions, exactly as in the paper.
 
-    The analysis is incremental: a {!State.t} consumes one trace entry
-    at a time, so any number of machine models advance together over a
-    single trace pass ({!run_many}) or directly over a live VM
-    execution ({!sink_many}) without the trace ever being materialized. *)
+    Analysis is decode, then in-order apply.  The {!decoder} classifies
+    an entry (static flags plus the predicted branch direction) without
+    touching machine state; a {!State.t} applies classified entries in
+    trace order.  Any number of machine models advance over a single
+    trace pass ({!run_many}) or directly over a live VM execution
+    ({!sink_many}), a chunk of {!Vm.Trace.chunk_size} entries at a
+    time: each group of {!compatible} configs classifies the chunk once,
+    then each of its states applies the whole chunk. *)
 
 type config = {
   machine : Machine.t;
@@ -85,6 +89,18 @@ val config :
     [collect_segments = false], no step budget, no value table, probe
     disabled. *)
 
+val compatible : config list -> bool
+(** Can one decode serve all these configs?  True for a non-empty list
+    whose configs share [inline]/[unroll] and the {e physically same}
+    stateless predictor record ([==]).  Stateful predictors (the 2-bit
+    counter) train on call order, so a config using one shares its
+    decode with nobody. *)
+
+val decode_groups : config list -> int list list
+(** The configs' positions partitioned into maximal {!compatible}
+    groups, ordered by first member; a config with a stateful
+    predictor is a group of its own. *)
+
 val decoder : config -> Program_info.t -> pc:int -> aux:int -> int
 (** State-free per-entry classification: the returned word packs the
     static instruction's {!Program_info} flags plus a
@@ -123,31 +139,26 @@ type result = {
       the prefix they cover. *)
 }
 
-(** Incremental per-machine analysis state.  Stateful predictors (e.g.
-    the 2-bit counter) must not be shared between simultaneously
-    advancing states: give each config its own instance. *)
+(** Incremental per-machine analysis state: the apply half of the
+    analysis.  Stateful predictors (e.g. the 2-bit counter) must not be
+    shared between states: give each config its own instance. *)
 module State : sig
   type t
 
   val create : config -> Program_info.t -> t
 
-  val step : t -> pc:int -> aux:int -> unit
-  (** Consume one trace entry.  Entries must arrive in trace order.
-      Entries past the config's [step_budget] are dropped. *)
-
   val step_bits : t -> pc:int -> aux:int -> bits:int -> unit
-  (** [step] with the entry's classification precomputed by the
-      {!decoder} of a config with the same [inline]/[unroll] settings
-      and a predictor with identical behavior.  The per-entry
-      transition is the same code path as [step] — feeding every entry
-      of a trace through [step_bits] in order yields results
-      bit-identical to [step].  This is the replay half of segmented
-      analysis: decode segments concurrently, then apply here in trace
-      order. *)
+  (** Consume one trace entry whose classification [bits] was computed
+      by the {!decoder} of a config {!compatible} with this state's (or,
+      for a stateful predictor, by this config's own decoder, in trace
+      order).  Entries must arrive in trace order; entries past the
+      config's [step_budget] are dropped.  This is the one per-entry
+      transition: {!run_many}, {!sink_many} and segmented analysis all
+      apply entries through it. *)
 
   val finish : ?completeness:Pipeline_error.completeness -> t -> result
   (** Close the analysis (flushing a trailing inter-misprediction
-      segment) and report.  Call once, after the last [step].
+      segment) and report.  Call once, after the last [step_bits].
       [completeness] (default [Complete]) describes how the {e
       execution} that produced the trace ended; a step-budget cut
       recorded by this state takes precedence over it. *)
@@ -161,17 +172,23 @@ val run_many :
   ?completeness:Pipeline_error.completeness ->
   config list -> Program_info.t -> Vm.Trace.t -> result list
 (** Advance one state per config over a {e single} pass of the trace;
-    results are in config order.  Numerically identical to mapping
-    {!run} over the configs, but reads the trace once.  [completeness]
-    tags every result with how the traced execution ended. *)
+    results are in config order.  The pass walks the trace's chunks in
+    place: per chunk, each {!decode_groups} group classifies it once,
+    then each of the group's states applies the whole chunk before the
+    next state starts.  States are not interleaved entry by entry, but
+    each sees its own entries in trace order, so the results equal
+    mapping {!run} over the configs.  [completeness] tags every result
+    with how the traced execution ended. *)
 
 val sink_many :
   config list -> Program_info.t ->
   Vm.Trace.sink
   * (?completeness:Pipeline_error.completeness -> unit -> result list)
 (** [sink_many configs info] is [(sink, finish)]: feed trace entries to
-    [sink] (e.g. pass it to [Vm.Exec.run ~sink]) and call [finish]
-    afterwards (passing the execution's completeness, if it was not a
-    clean halt).  This is {!run_many} without a materialized trace:
-    memory stays O(program + touched addresses + scheduling window)
-    regardless of trace length. *)
+    [sink] (e.g. pass it to [Vm.Exec.run ~sink]), close it, and call
+    [finish] afterwards (passing the execution's completeness, if it
+    was not a clean halt).  This is {!run_many} without a materialized
+    trace: the sink buffers one chunk of entries and analyzes it, in
+    {!run_many}'s order, when the buffer fills and when the sink is
+    closed.  Memory stays O(program + touched addresses + scheduling
+    window + one chunk) regardless of trace length. *)

@@ -24,27 +24,6 @@ type outcome = {
   steps : int;  (** segment stride used *)
 }
 
-let compatible configs =
-  match configs with
-  | [] -> false
-  | (c0 : Analyze.config) :: rest ->
-    (* One decode serves every config, so all configs must classify
-       entries identically: same inline/unroll masks and a stateless
-       predictor with the same behavior.  Predictor behavior is
-       compared by name — callers (the harness groups specs by
-       predictor kind) must ensure same-named predictors in one call
-       are behaviorally identical, which holds because they are built
-       from the same program info and profile. *)
-    let p0 = c0.predictor in
-    (not p0.Predict.Predictor.stateful)
-    && List.for_all
-         (fun (c : Analyze.config) ->
-           c.inline = c0.inline && c.unroll = c0.unroll
-           && (not c.predictor.Predict.Predictor.stateful)
-           && String.equal c.predictor.Predict.Predictor.name
-                p0.Predict.Predictor.name)
-         rest
-
 (* Oracle-guided granularity, the cheap static form: segments sized so
    each domain sees a few per stitch round (amortizing task overhead)
    but floored high enough that the per-segment bits array and queue
@@ -92,9 +71,9 @@ let create ?pool ?(obs = Obs.Ctx.disabled) ?(span_index_base = 0)
     ?(workload = "") ?(check = fun () -> ()) ~segment_steps configs info =
   if segment_steps < 1 then
     invalid_arg "Segmented.create: segment_steps must be >= 1";
-  if not (compatible configs) then
+  if not (Analyze.compatible configs) then
     invalid_arg
-      "Segmented.create: configs must share inline/unroll and a \
+      "Segmented.create: configs must share inline/unroll and one \
        stateless predictor";
   let enabled = Obs.Ctx.enabled obs in
   let reg = Obs.Ctx.metrics obs in

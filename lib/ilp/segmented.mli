@@ -29,14 +29,6 @@ type outcome = {
   steps : int;  (** segment stride used *)
 }
 
-val compatible : Analyze.config list -> bool
-(** Can one decode serve all these configs?  Requires a non-empty
-    list sharing [inline]/[unroll] and stateless predictors of equal
-    name (callers must ensure same-named predictors are behaviorally
-    identical — true for harness-built configs, which derive them
-    from the same profile).  Stateful predictors (the 2-bit counter)
-    train on call order and are never segmentable. *)
-
 val auto_steps : trace_len:int -> jobs:int -> int
 (** Static granularity choice for [--segment-steps auto]:
     [trace_len / (4 * jobs)] clamped to [16384, 262144] — a few
@@ -68,7 +60,8 @@ val run :
     — merged by index, so jobs=N telemetry structure equals
     sequential — plus the [analyze_segments_total] counter and the
     stitch-wait histogram.  Raises [Invalid_argument] if
-    [segment_steps < 1] or the configs are not {!compatible}. *)
+    [segment_steps < 1] or the configs are not
+    {!Analyze.compatible}. *)
 
 val sink :
   ?pool:Stdx.Pool.t ->

@@ -70,16 +70,19 @@ let aux t i = get "Trace.aux" t.auxs t i
 let addr = aux
 let taken t i = aux t i = 1
 
-let iter f t =
-  (* raw reads chunk by chunk: this loop feeds every analyzer pass over
-     a materialized trace *)
+let iter_chunks f t =
   for k = 0 to Stdx.Vec.length t.pcs - 1 do
-    let pcs = Stdx.Vec.unsafe_get t.pcs k in
-    let auxs = Stdx.Vec.unsafe_get t.auxs k in
-    for i = 0 to min chunk_size (t.len - (k lsl chunk_bits)) - 1 do
-      f ~pc:(Array.unsafe_get pcs i) ~aux:(Array.unsafe_get auxs i)
-    done
+    f ~pcs:(Stdx.Vec.unsafe_get t.pcs k) ~auxs:(Stdx.Vec.unsafe_get t.auxs k)
+      ~len:(min chunk_size (t.len - (k lsl chunk_bits)))
   done
+
+let iter f t =
+  iter_chunks
+    (fun ~pcs ~auxs ~len ->
+      for i = 0 to len - 1 do
+        f ~pc:(Array.unsafe_get pcs i) ~aux:(Array.unsafe_get auxs i)
+      done)
+    t
 
 let feed t s =
   iter s.on_entry t;

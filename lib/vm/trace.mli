@@ -72,6 +72,13 @@ val taken : t -> int -> bool
 val iter : (pc:int -> aux:int -> unit) -> t -> unit
 (** Every entry, in trace order. *)
 
+val iter_chunks :
+  (pcs:int array -> auxs:int array -> len:int -> unit) -> t -> unit
+(** Every chunk, in trace order, without copying: [f ~pcs ~auxs ~len]
+    sees the chunk's own arrays, whose indices [0 .. len - 1] hold its
+    entries ([len = chunk_size] for every chunk but the last).  [f]
+    must not write to the arrays or keep them past the trace. *)
+
 val feed : t -> sink -> unit
 (** Replay a materialized trace into a sink, entry by entry, then close
     it.  [feed t (buffer_sink t')] copies the trace. *)

@@ -188,6 +188,28 @@ let test_sp_cd_mf_parallel_mispredicts () =
   in
   check_cycles "SP-CD-MF" 1 r
 
+(* Decode sharing goes by predictor identity: two stateless predictors
+   with one name but different predictions never share a decode, and
+   the fan-out keeps their results apart. *)
+let test_same_name_predictors () =
+  let cfg p =
+    Ilp.Analyze.config ~collect_segments:true ~mem_words:64 Ilp.Machine.sp p
+  in
+  let right = scripted_predictor [] and wrong = scripted_predictor [ 2 ] in
+  let a = cfg right and b = cfg wrong in
+  Alcotest.(check bool) "same name, different records" false
+    (Ilp.Analyze.compatible [ a; b ]);
+  Alcotest.(check bool) "one record" true
+    (Ilp.Analyze.compatible [ a; cfg right ]);
+  Alcotest.(check (list (list int))) "decode groups" [ [ 0; 2 ]; [ 1 ] ]
+    (Ilp.Analyze.decode_groups [ a; b; cfg right ]);
+  let info = branches_info () and trace = branches_trace () in
+  let together = Ilp.Analyze.run_many [ a; b ] info trace in
+  Alcotest.(check bool) "run_many = separate runs" true
+    (together = [ Ilp.Analyze.run a info trace; Ilp.Analyze.run b info trace ]);
+  Alcotest.(check (list int)) "mispredicts" [ 0; 1 ]
+    (List.map (fun (r : Ilp.Analyze.result) -> r.mispredicts) together)
+
 (* --- control dependence through RDF --- *)
 
 (* pc0 branch (block 0); pc1 plain in block 1 with rdf [0];
@@ -265,6 +287,44 @@ let test_interproc_inheritance () =
   in
   let r2 = run ~machine:Ilp.Machine.cd_mf info2 trace in
   check_cycles "no inheritance" 1 r2
+
+(* The per-block resolution cache must not outlive a change to its
+   inputs.  A one-block loop: the branch that ends the block writes the
+   block's own RDF candidate, so the next iteration must see it. *)
+let test_self_loop_resolution () =
+  let info =
+    mk_info ~block_of:[| 0; 0 |] ~rdf:[| [| 0 |] |]
+      [| K.Plain; K.Cond_branch |]
+  in
+  let trace =
+    mk_trace [ (0, -1); (1, 1); (0, -1); (1, 1); (0, -1); (1, 0) ]
+  in
+  (* each iteration waits for the previous iteration's branch *)
+  check_cycles "self loop" 3 (run ~machine:Ilp.Machine.cd_mf info trace)
+
+(* A return restores the caller's context for a block the callee just
+   resolved.  main calls f (f1), which branches and calls f (f2); f2
+   branches, runs the shared continuation block (resolved with f2's
+   context, inherited from f1's branch at t1: t2) and returns; f1 runs
+   the same block with its own, empty context (t1), and main reads the
+   register f1 wrote (t2).  Reusing f2's resolution would give f1's
+   instruction t2 and main's t3. *)
+let test_return_resolution () =
+  let info =
+    mk_info
+      ~block_of:[| 0; 1; 2; 3; 4; 4 |]
+      ~rdf:[| [||]; [||]; [||]; [| 2 |]; [||] |]
+      ~uses:[| [||]; [| 5 |]; [||]; [||]; [||]; [||] |]
+      ~defs:[| [||]; [||]; [||]; [||]; [| 5 |]; [||] |]
+      [| K.Call; K.Plain; K.Cond_branch; K.Call; K.Plain; K.Ret |]
+  in
+  let trace =
+    mk_trace
+      [ (0, -1); (2, 1); (3, -1); (2, 0); (4, -1); (5, -1); (4, -1);
+        (5, -1); (1, -1) ]
+  in
+  check_cycles "caller context after return" 2
+    (run ~machine:Ilp.Machine.cd_mf info trace)
 
 let test_inline_removes_sp_adjust () =
   let info =
@@ -440,4 +500,10 @@ let suite =
     Alcotest.test_case "k flows" `Quick test_flows_k;
     Alcotest.test_case "latency" `Quick test_latency;
     Alcotest.test_case "segments" `Quick test_segments;
-    Alcotest.test_case "distance histogram" `Quick test_distance_histogram ]
+    Alcotest.test_case "distance histogram" `Quick test_distance_histogram;
+    Alcotest.test_case "same-name predictors do not share a decode" `Quick
+      test_same_name_predictors;
+    Alcotest.test_case "self loop sees its own branch" `Quick
+      test_self_loop_resolution;
+    Alcotest.test_case "return restores the caller's resolution" `Quick
+      test_return_resolution ]

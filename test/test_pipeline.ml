@@ -158,6 +158,113 @@ let test_machine_ordering wname () =
   leq "SP-CD-MF" "ORACLE";
   leq "BASE" "SP"
 
+(* The chunk-major fan-out against an entry-major reference written
+   here: every state steps entry by entry, each entry classified by its
+   own config's decoder.  Trace lengths straddle the chunk size; the
+   configs mix decode groups (one profile, perfect and btfn record
+   shared by several machines, a fresh 2-bit counter per config, an
+   inline-off config) and step budgets that cut inside a chunk. *)
+let gcc_flat =
+  lazy (Workloads.Registry.compile (Workloads.Registry.find "gcc"))
+
+(* Fresh 2-bit counters on every call: each analysis owns its own. *)
+let mixed_configs flat (info : Ilp.Program_info.t) trace =
+  let c = Vm.Trace.chunk_size in
+  let profile =
+    Predict.Predictor.profile ~n_static:info.n
+      ~is_cond:(Ilp.Program_info.is_cond_branch info) trace
+  in
+  let btfn =
+    Predict.Predictor.backward_taken
+      ~is_backward:(Ilp.Program_info.branch_backward flat)
+  in
+  let perfect = Predict.Predictor.perfect in
+  let two_bit () = Predict.Predictor.two_bit ~n_static:info.n in
+  let cfg = Ilp.Analyze.config ~mem_words:Vm.Exec.default_mem_words in
+  Ilp.Machine.
+    [ cfg sp_cd_mf profile;
+      cfg ~step_budget:((c / 2) + 3) cd profile;
+      cfg ~collect_segments:true sp profile;
+      cfg ~inline:false base profile;
+      cfg oracle perfect;
+      cfg ~step_budget:(c + 1000) sp_cd perfect;
+      cfg cd_mf btfn;
+      cfg ~collect_segments:true sp (two_bit ());
+      cfg ~step_budget:(c + 5) sp_cd_mf (two_bit ()) ]
+
+let entry_major ~completeness configs info trace =
+  let states =
+    List.map
+      (fun c -> (Ilp.Analyze.decoder c info, Ilp.Analyze.State.create c info))
+      configs
+  in
+  Vm.Trace.iter
+    (fun ~pc ~aux ->
+      List.iter
+        (fun (decode, st) ->
+          Ilp.Analyze.State.step_bits st ~pc ~aux ~bits:(decode ~pc ~aux))
+        states)
+    trace;
+  List.map (fun (_, st) -> Ilp.Analyze.State.finish ~completeness st) states
+
+let check_same what want got =
+  Alcotest.(check (list result_t)) what want got;
+  Alcotest.(check bool) (what ^ ": completeness") true
+    (List.map (fun (r : Ilp.Analyze.result) -> r.completeness) want
+     = List.map (fun (r : Ilp.Analyze.result) -> r.completeness) got)
+
+let budget_cut (r : Ilp.Analyze.result) =
+  match r.completeness with
+  | Pipeline_error.Truncated { f_kind = Step_budget; _ } -> true
+  | _ -> false
+
+let test_chunk_boundaries () =
+  let flat = Lazy.force gcc_flat in
+  let info = Ilp.Program_info.analyze_flat flat in
+  let c = Vm.Trace.chunk_size in
+  List.iter
+    (fun n ->
+      let o = Vm.Exec.run ~fuel:n flat in
+      Alcotest.(check int) "trace length" n (Vm.Trace.length o.trace);
+      let completeness = Vm.Exec.completeness_of o in
+      let configs () = mixed_configs flat info o.trace in
+      let want = entry_major ~completeness (configs ()) info o.trace in
+      check_same
+        (Printf.sprintf "run_many, %d entries" n)
+        want
+        (Ilp.Analyze.run_many ~completeness (configs ()) info o.trace);
+      let sink, finish = Ilp.Analyze.sink_many (configs ()) info in
+      let o' = Vm.Exec.run ~fuel:n ~record:false ~sink flat in
+      check_same
+        (Printf.sprintf "sink_many, %d entries" n)
+        want
+        (finish ~completeness:(Vm.Exec.completeness_of o') ());
+      if n = (2 * c) + 7 then
+        Alcotest.(check int) "every budget cut inside the trace" 3
+          (List.length (List.filter budget_cut want)))
+    [ 0; 1; c - 1; c; c + 1; (2 * c) + 7 ]
+
+(* The per-entry step allocates nothing: seven paper machines over a
+   200k-step trace stay under one minor-heap word per entry (the
+   per-call state and buffers included). *)
+let test_fanout_allocation () =
+  let p = Harness.prepare ~fuel:200_000 (Workloads.Registry.find "gcc") in
+  let predictor = Harness.profile_predictor p in
+  let cfgs =
+    List.map
+      (fun m ->
+        Ilp.Analyze.config ~mem_words:Vm.Exec.default_mem_words m predictor)
+      machines
+  in
+  let before = Gc.minor_words () in
+  ignore (Ilp.Analyze.run_many cfgs p.info p.trace);
+  let per_entry =
+    (Gc.minor_words () -. before) /. float_of_int (Vm.Trace.length p.trace)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per entry < 1" per_entry)
+    true (per_entry < 1.)
+
 let suite =
   [ Alcotest.test_case "run_many golden: gcc" `Quick
       (test_run_many_golden "gcc");
@@ -169,4 +276,8 @@ let suite =
     Alcotest.test_case "machine ordering: gcc" `Quick
       (test_machine_ordering "gcc");
     Alcotest.test_case "machine ordering: matrix300" `Quick
-      (test_machine_ordering "matrix300") ]
+      (test_machine_ordering "matrix300");
+    Alcotest.test_case "chunk boundaries: run_many = sink_many = entry-major"
+      `Quick test_chunk_boundaries;
+    Alcotest.test_case "fan-out allocation under a word per entry" `Quick
+      test_fanout_allocation ]

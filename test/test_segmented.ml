@@ -130,15 +130,15 @@ let test_compatible () =
     Ilp.Analyze.config ~inline Ilp.Machine.sp_cd_mf p
   in
   let perfect = Predict.Predictor.perfect in
-  Alcotest.(check bool) "empty list" false (Ilp.Segmented.compatible []);
+  Alcotest.(check bool) "empty list" false (Ilp.Analyze.compatible []);
   Alcotest.(check bool) "same stateless" true
-    (Ilp.Segmented.compatible [ mk perfect; mk perfect ]);
+    (Ilp.Analyze.compatible [ mk perfect; mk perfect ]);
   Alcotest.(check bool) "stateful 2-bit" false
-    (Ilp.Segmented.compatible [ mk (Predict.Predictor.two_bit ~n_static:8) ]);
+    (Ilp.Analyze.compatible [ mk (Predict.Predictor.two_bit ~n_static:8) ]);
   Alcotest.(check bool) "mixed inline" false
-    (Ilp.Segmented.compatible [ mk perfect; mk ~inline:false perfect ]);
+    (Ilp.Analyze.compatible [ mk perfect; mk ~inline:false perfect ]);
   Alcotest.(check bool) "mixed predictor names" false
-    (Ilp.Segmented.compatible [ mk perfect; mk Predict.Predictor.always_taken ])
+    (Ilp.Analyze.compatible [ mk perfect; mk Predict.Predictor.always_taken ])
 
 let test_auto_steps_bounds () =
   Alcotest.(check int) "floor" 16_384
