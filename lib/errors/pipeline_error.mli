@@ -12,7 +12,7 @@
     early (fuel, VM fault, analysis budget, injected cut) still yields a
     result; the {!completeness} tag carries the {!fault_info} describing
     where and why the trace ended, and propagates into tables and
-    [BENCH_results.json]. *)
+    serve replies. *)
 
 (** Why an execution or analysis stopped before a clean [Halt]. *)
 type fault_kind =

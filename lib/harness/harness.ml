@@ -50,9 +50,9 @@ module Counters = struct
   let record_segments n = Obs.Metrics.add n_segments n
 
   (* Total instruction-analysis events: every entry consumed by a
-     sink-trained profile plus every (entry, analysis state) pair scanned
-     by the trace analyzers.  This is the figure BENCH_results.json
-     reports as [instructions_analyzed]. *)
+     sink-trained profile plus every (entry, analysis state) pair
+     scanned by the trace analyzers, i.e. [profiled_entries] plus
+     [state_entries]. *)
   let analyzed () = profiled_entries () + state_entries ()
 
   let reset () =

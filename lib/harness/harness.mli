@@ -65,8 +65,8 @@ module Counters : sig
   val segments : unit -> int
   (** Trace segments decoded by segmented (intra-trace parallel)
       analysis — [pipeline_segments_total].  Zero when every analysis
-      ran un-segmented.  Obs-independent, so the bench can report
-      honest segment counts without enabling a context. *)
+      ran un-segmented.  Obs-independent, so the bench can check that
+      a run really segmented without enabling a context. *)
 
   val reset : unit -> unit
 end

@@ -19,9 +19,9 @@
 
     Memory: decoded segments are retained until every stitcher has
     consumed them — roughly 24 bytes per trace entry (pc, aux, bits).
-    The default harness traces (1–2M entries) cost tens of MB; feeding
-    paper-scale traces through this path should bound the backlog
-    (ROADMAP item 5's off-heap encoding). *)
+    The default harness traces (1–2M entries) cost tens of MB, but the
+    paper's 100M-entry traces would hold about 2.4 GB, so feeding
+    paper-scale traces through this path needs a bound on that backlog. *)
 
 type outcome = {
   results : Analyze.result list;  (** in config order *)

@@ -85,11 +85,11 @@ let vm_disabled = make_vm null_registry
 
 let vm ?sample_every registry = make_vm ?sample_every registry
 
-(* The domain-pool instruments (ROADMAP item 2): the single place the
-   pool's observable surface is named.  Both the transition probe
-   ([pool]) and the snapshot publisher ([pool_stats]) register the same
-   instruments, idempotently by name, so serve / bench / tests never
-   hand-wire pool gauges again. *)
+(* The domain-pool instruments: the single place the pool's observable
+   surface is named.  Both the transition probe ([pool]) and the
+   snapshot publisher ([pool_stats]) register the same instruments,
+   idempotently by name, so serve / bench / tests never hand-wire pool
+   gauges again. *)
 type pool_instruments = {
   p_submitted : Metrics.counter;
   p_completed : Metrics.counter;

@@ -445,6 +445,49 @@ let test_serve_admission_reject () =
 
 let test_serve_shed_under_burst () =
   with_server ~jobs:1 ~queue_limit:1 "shed" (fun _t path ->
+      (* Overload is a precondition, not a race: the burst fires only
+         once a long request has been seen holding the only worker.
+         Clients and server share one domain here, so each stats poll
+         or burst arrival can wait a tick or two (~50 ms each) for the
+         runtime lock.  The long request (8M steps on the seven paper
+         machines, about a second) outlasts both; a registry workload
+         at default fuel (~0.3 s) does not. *)
+      let long_source =
+        {|int a[64];
+          int main(void) {
+            int i;
+            for (i = 0; i < 1000000; i = i + 1)
+              a[i % 64] = a[(i + 7) % 64] + 1;
+            return a[0];
+          }|}
+      in
+      let long = Atomic.make None in
+      let long_t =
+        Thread.create
+          (fun () ->
+            Atomic.set long
+              (Some
+                 (oneshot path
+                    (Protocol.analyze_request ~id:1
+                       (Protocol.analyze ~source:long_source ())))))
+          ()
+      in
+      let stat json name =
+        Option.get Jsonx.(Option.bind (member name json) to_int)
+      in
+      let rec await_worker_busy () =
+        match Jsonx.parse (oneshot path (Protocol.stats_request ~id:1)) with
+        | Error e -> fail e
+        | Ok json ->
+          if stat json "queue_depth" = 0 && stat json "in_flight" = 1 then ()
+          else if Atomic.get long <> None then
+            fail "the long request finished before it was seen running"
+          else begin
+            Thread.delay 0.001;
+            await_worker_busy ()
+          end
+      in
+      await_worker_busy ();
       let n = 8 in
       let responses = Array.make n "" in
       let worker i =
@@ -455,6 +498,9 @@ let test_serve_shed_under_burst () =
       in
       let threads = Array.init n (fun i -> Thread.create worker i) in
       Array.iter Thread.join threads;
+      Thread.join long_t;
+      check bool "the long request ran" true
+        (decoded (Option.get (Atomic.get long))).Protocol.r_ok;
       let ok = ref 0 and shed = ref 0 in
       Array.iter
         (fun resp ->
