@@ -12,14 +12,15 @@
    Each experiment declares which (workload, analysis spec) results it
    needs.  [main] unions the needs of every selected experiment into
    one context record and then *prefills* the context's store: each
-   workload is compiled and executed exactly once, with all requested
-   machine models and ablation configs advanced together over a single
-   pass of its trace (Harness.Run.on_prepared).  With --jobs > 1 the
-   prefill fans whole workloads out over a domain pool (Stdx.Pool);
-   results are merged back on the main domain in registry order, so
-   the tables are bit-identical for every --jobs value.  The trace is
-   dropped as soon as its workload's results are in, keeping the live
-   heap small.  Experiments then render from the shared store.
+   workload is compiled and trained once (Harness.prepare), then
+   replayed once with all requested machine models and ablation
+   configs advanced together over a single pass of its trace
+   (Harness.Run.on_prepared).  With --jobs > 1 the prefill fans whole
+   workloads out over a domain pool (Stdx.Pool); results are merged
+   back on the main domain in registry order, so the tables are
+   bit-identical for every --jobs value.  No trace is kept, except the
+   one the predictor-rate ablation records and drops per workload.
+   Experiments then render from the shared store.
 
    The gates (scaling, segment-scaling, static-vs-dynamic, serve-soak)
    return their violations.  [main] prints them after the report and
@@ -65,14 +66,17 @@ let dedup_specs specs =
       end)
     specs
 
-(* Predictor accuracy has to be measured while the trace is still
-   alive, so it runs inside the prefill, for the experiment that asks
-   for it.  The analyses themselves still share the one fan-out pass
-   (a fresh 2-bit counter table is created inside that pass's state,
-   never shared with this measurement). *)
+(* Predictor accuracy is measured over a trace this experiment records
+   for itself, inside the prefill, and drops with the workload.  The
+   analyses still share the one fan-out pass (a fresh 2-bit counter
+   table is created inside that pass's state, never shared with this
+   measurement). *)
 let predictor_rates (p : Harness.prepared) =
   let is_cond = Ilp.Program_info.is_cond_branch p.info in
-  let rate pr = (Predict.Predictor.measure pr ~is_cond p.trace).rate in
+  let trace =
+    (Vm.Exec.run ?mem_words:p.mem_words ~fuel:p.fuel p.flat).trace
+  in
+  let rate pr = (Predict.Predictor.measure pr ~is_cond trace).rate in
   let btfn =
     Predict.Predictor.backward_taken
       ~is_backward:(Ilp.Program_info.branch_backward p.flat)
@@ -80,11 +84,12 @@ let predictor_rates (p : Harness.prepared) =
   let twobit = Predict.Predictor.two_bit ~n_static:p.info.n in
   ((Harness.branch_stats p).rate, rate btfn, rate twobit)
 
-(* The whole shared computation for one workload: one execution, the
-   predictor rates if asked for, one fan-out pass over everything the
-   selected experiments asked for.  Pure with respect to the context's
-   stores: results come back as a value, so the caller (possibly
-   merging a parallel batch) writes the Hashtbls on one domain only. *)
+(* The whole shared computation for one workload: one training
+   execution, the predictor rates if asked for, one fan-out replay over
+   everything the selected experiments asked for.  Pure with respect to
+   the context's stores: results come back as a value, so the caller
+   (possibly merging a parallel batch) writes the Hashtbls on one domain
+   only. *)
 type prefilled = {
   pf_name : string;
   pf_stats : Ilp.Stats.branch_stats;
@@ -105,7 +110,6 @@ let prepare_workload ctx (w : Workloads.Registry.t) =
     pf_rates = rates;
     pf_results =
       List.map2 (fun s r -> (Harness.spec_key s, r)) specs results }
-  (* p goes out of scope here: the trace is freed *)
 
 let merge_prefilled ctx pf =
   Hashtbl.replace ctx.stats pf.pf_name pf.pf_stats;
@@ -633,7 +637,7 @@ let counted_exec cfg ws =
     Harness.Counters.segments () - g0 )
 
 (* Scaling: the whole Table-3 pipeline (all ten workloads, all seven
-   machines, streaming) at 1, 2 and 4 domains.  This is the bench-side
+   machines) at 1, 2 and 4 domains.  This is the bench-side
    determinism gate: every parallel run must reproduce the sequential
    run bit-for-bit — results, completeness tags, and the Counters
    totals.  Kept out of the default experiment set because it
@@ -642,7 +646,7 @@ let counted_exec cfg ws =
 let scaling ctx =
   let ws = Workloads.Registry.all in
   let run jobs =
-    counted_exec (Harness.Run.config ~jobs ?fuel:ctx.fuel ~stream:true spec7) ws
+    counted_exec (Harness.Run.config ~jobs ?fuel:ctx.fuel spec7) ws
   in
   let seq, seq_wall, seq_counts, _ = run 1 in
   let points =
@@ -696,8 +700,8 @@ let segment_scaling ctx =
   let w = Workloads.Registry.find "gcc" in
   let run ~jobs ~segmenting =
     counted_exec
-      (Harness.Run.config ~jobs ?fuel:ctx.fuel ~stream:true
-         ~segment_steps:segmenting spec7)
+      (Harness.Run.config ~jobs ?fuel:ctx.fuel ~segment_steps:segmenting
+         spec7)
       [ w ]
   in
   (* The reference: the ordinary un-segmented sequential pipeline. *)

@@ -186,7 +186,7 @@ let obs_report ~trace_out ~metrics ~prom_out obs =
       prom_out
   end
 
-let cmd_run names machine_names no_inline no_unroll fuel stream step_budget
+let cmd_run names machine_names no_inline no_unroll fuel step_budget
     mem_words deadline_ms jobs segment_steps trace_out metrics prom_out =
   let* ws = workloads_of_names names in
   let* machines = Ilp.Machine.of_specs machine_names in
@@ -204,16 +204,14 @@ let cmd_run names machine_names no_inline no_unroll fuel stream step_budget
   in
   let jobs = Cli.Parallel.resolve_jobs jobs in
   let obs = obs_ctx trace_out metrics prom_out in
-  (* Every path fans all machines out over a single trace scan.
-     --stream additionally never materializes the trace, so the budget
-     can exceed memory; with more than one worker domain, whole
-     workloads also fan out over a pool (always streaming — each domain
-     holds O(program) state), merged back in workload order so the
-     table is identical for every --jobs value. *)
-  let stream = stream || (jobs > 1 && List.length ws > 1) in
+  (* Each workload trains, then replays straight into all machines in
+     a single pass, holding O(program) state whatever the fuel; with
+     more than one worker domain, whole workloads also fan out over a
+     pool, merged back in workload order so the table is identical for
+     every --jobs value. *)
   let cfg =
     Harness.Run.config ~jobs ?fuel ?step_budget ?mem_words
-      ?deadline_ms ~stream ~obs ~segment_steps specs
+      ?deadline_ms ~obs ~segment_steps specs
   in
   let* items = Harness.Run.exec cfg ws in
   let* per_workload =
@@ -950,12 +948,6 @@ let run_cmd =
     Arg.(value & opt (some int) None & info [ "fuel" ] ~docv:"N"
            ~doc:"Cap the trace at N instructions.")
   in
-  let stream =
-    Arg.(value & flag & info [ "stream" ]
-           ~doc:"Stream the trace straight from the VM into the analyzer \
-                 (two executions, no materialized trace; memory stays \
-                 independent of $(b,--fuel)).")
-  in
   let step_budget =
     Arg.(value & opt (some int) None & info [ "step-budget" ] ~docv:"N"
            ~doc:"Resource guard: analyze at most N counted instructions \
@@ -969,17 +961,17 @@ let run_cmd =
   in
   let deadline_ms =
     Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS"
-           ~doc:"Wall-clock budget per workload.  Forces the streaming \
-                 path so the clock covers analysis too; expiry degrades \
-                 to a typed deadline error (exit code 6), never a hung \
-                 run.")
+           ~doc:"Wall-clock budget per workload, observed by both \
+                 executions so the clock covers analysis too; expiry \
+                 degrades to a typed deadline error (exit code 6), never \
+                 a hung run.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Measure parallelism limits (Table 3).")
     Term.(
-      const (fun ws ms ni nu f s sb mw dl j ss tr mx pr ->
-          handle (cmd_run ws ms ni nu f s sb mw dl j ss tr mx pr))
-      $ workloads_arg $ machines $ no_inline $ no_unroll $ fuel $ stream
+      const (fun ws ms ni nu f sb mw dl j ss tr mx pr ->
+          handle (cmd_run ws ms ni nu f sb mw dl j ss tr mx pr))
+      $ workloads_arg $ machines $ no_inline $ no_unroll $ fuel
       $ step_budget $ mem_words $ deadline_ms $ jobs_arg
       $ segment_steps_arg $ trace_out_arg $ metrics_arg
       $ prom_out_arg)

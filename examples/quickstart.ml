@@ -27,13 +27,14 @@ int main(void) {
 |}
 
 let () =
-  (* Compile, execute (recording a trace), and analyze. *)
+  (* Compile and run the training execution (no trace is recorded). *)
   let prepared = Harness.prepare_source ~name:"primes" source in
   (match prepared.halted with
   | Some v -> Format.printf "program result: %d primes below 4000@." v
   | None -> Format.printf "program did not halt within its fuel budget@.");
   Format.printf "trace: %d dynamic instructions@.@." prepared.steps;
-  (* All seven machine models advance together over one trace pass. *)
+  (* The replay: all seven machine models advance together over one
+     trace pass, straight off a second execution. *)
   let results =
     Harness.Run.on_prepared prepared
       (List.map Harness.spec Ilp.Machine.all_paper)

@@ -63,18 +63,29 @@ end
 
 let ( let* ) = Result.bind
 
-let validate_jobs j =
-  if j < 1 then
-    Error
-      (Pipeline_error.v Execute
-         (Invalid_request (Printf.sprintf "jobs must be at least 1 (got %d)" j)))
-  else Ok j
+(* Every count the harness takes from outside — jobs, fuel, a step
+   budget — must be at least 1: anything smaller is a typed
+   [Invalid_request] (exit code 2), never a degenerate run. *)
+let below_one what n =
+  Pipeline_error.v Execute
+    (Invalid_request (Printf.sprintf "%s must be at least 1 (got %d)" what n))
+
+let validate_jobs j = if j < 1 then Error (below_one "jobs" j) else Ok j
+
+let check_fuel = function
+  | Some f when f < 1 -> Error (below_one "fuel" f)
+  | _ -> Ok ()
+
+let resolve_fuel w fuel =
+  let* () = check_fuel fuel in
+  Ok (Option.value fuel ~default:w.Workloads.Registry.fuel)
 
 type prepared = {
   workload : Workloads.Registry.t;
   flat : Asm.Program.flat;
   info : Ilp.Program_info.t;
-  trace : Vm.Trace.t;
+  fuel : int;
+  mem_words : int option;
   steps : int;
   status : Vm.Exec.status;
   completeness : Pipeline_error.completeness;
@@ -109,38 +120,38 @@ let deadline_guard ?workload stage f =
       (Pipeline_error.v ?workload stage
          (Deadline_exceeded { budget_ms; elapsed_ms }))
 
-let profile_builder info =
-  Predict.Predictor.Profile.builder ~n_static:info.Ilp.Program_info.n
-    ~is_cond:(Ilp.Program_info.is_cond_branch info)
-
-let value_builder info =
-  Predict.Predictor.Value.builder ~n_static:info.Ilp.Program_info.n
-    ~defs:info.Ilp.Program_info.defs
-
-(* A faulting or fuel-capped execution is a first-class outcome: the
-   trace prefix is kept and analyzed, and every downstream result
-   carries the truncation tag.  Nothing on this path raises. *)
+(* The training execution.  A faulting or fuel-capped execution is a
+   first-class outcome: the replay analyzes the same prefix, and every
+   downstream result carries the truncation tag.  Nothing on this path
+   raises but the deadline's [Expired]. *)
 let prepare_flat ?mem_words ?(probe = Obs.Probe.vm_disabled)
     ?(span_buf = Obs.Span.disabled) ?(train_values = false) ?deadline
     ~fuel w flat =
   let name = w.Workloads.Registry.name in
   let info = Ilp.Program_info.analyze_flat flat in
-  let profile = profile_builder info in
+  let profile =
+    Predict.Predictor.Profile.builder ~n_static:info.n
+      ~is_cond:(Ilp.Program_info.is_cond_branch info)
+  in
   (* Value training is opt-in: the observe hook runs per retired
      instruction, so only runs whose specs actually use value
      prediction pay for it. *)
-  let values = if train_values then Some (value_builder info) else None in
+  let values =
+    if train_values then
+      Some (Predict.Predictor.Value.builder ~n_static:info.n ~defs:info.defs)
+    else None
+  in
   let observe =
     chain_observe
       (Option.map Predict.Predictor.Value.observe values)
       (deadline_observe deadline)
   in
-  (* The one VM execution: the branch profile accumulates through a sink
-     (and the value profile through the observe hook) while the trace is
-     recorded, so the trained predictors cost no extra trace pass. *)
+  (* The branch profile accumulates through a sink (and the value
+     profile through the observe hook); nothing is recorded, so memory
+     stays O(program) whatever the fuel. *)
   let outcome =
     Obs.Span.with_span span_buf ~workload:name "execute" (fun () ->
-        Vm.Exec.run ?mem_words ~fuel ~probe ?observe
+        Vm.Exec.run ?mem_words ~fuel ~record:false ~probe ?observe
           ~sink:(Predict.Predictor.Profile.sink profile) flat)
   in
   Counters.record_execution ~profiled:outcome.steps ();
@@ -149,8 +160,8 @@ let prepare_flat ?mem_words ?(probe = Obs.Probe.vm_disabled)
     | Vm.Exec.Halted v -> Some v
     | Out_of_fuel | Fault _ -> None
   in
-  { workload = w; flat; info; trace = outcome.trace;
-    steps = outcome.steps; status = outcome.status;
+  { workload = w; flat; info; fuel; mem_words; steps = outcome.steps;
+    status = outcome.status;
     completeness = Vm.Exec.completeness_of outcome; halted; profile;
     values }
 
@@ -176,9 +187,7 @@ let validated_mem_words ~workload = function
 let prepare_result ?options ?mem_words ?fuel ?(obs = Obs.Ctx.disabled)
     ?(span_buf = Obs.Span.disabled) ?train_values ?deadline w =
   let name = w.Workloads.Registry.name in
-  let fuel =
-    match fuel with Some f -> f | None -> w.Workloads.Registry.fuel
-  in
+  let* fuel = resolve_fuel w fuel in
   let* mem_words = validated_mem_words ~workload:name mem_words in
   let* flat =
     Obs.Span.with_span span_buf ~workload:name "compile" (fun () ->
@@ -261,6 +270,26 @@ let predictor_of_kind ~flat ~info ~profile =
 let specs_need_values specs =
   List.exists (fun s -> s.s_machine.Ilp.Machine.value_predict) specs
 
+(* A spec without its own step budget inherits the run's; every budget
+   must be at least 1. *)
+let inherit_step_budget step_budget specs =
+  let specs =
+    List.map
+      (fun s ->
+        match (s.s_step_budget, step_budget) with
+        | None, (Some _ as b) -> { s with s_step_budget = b }
+        | _ -> s)
+      specs
+  in
+  match
+    List.find_map
+      (fun s ->
+        match s.s_step_budget with Some b when b < 1 -> Some b | _ -> None)
+      specs
+  with
+  | Some b -> Error (below_one "step budget" b)
+  | None -> Ok specs
+
 let configs_of_specs ?(obs = Obs.Ctx.disabled) ?value_table ~flat ~info
     ~profile specs =
   let predictor = predictor_of_kind ~flat ~info ~profile in
@@ -293,28 +322,13 @@ let resolve_segment_steps ~trace_len ~jobs = function
     if jobs <= 1 then None
     else Some (Ilp.Segmented.auto_steps ~trace_len ~jobs)
 
-(* Once-per-process stderr warning for the --jobs dead-weight edge:
-   more domains than parallelizable tasks, and no segmentation to
-   soak up the extras. *)
-let jobs_warned = Atomic.make false
-
-let warn_dead_jobs ~jobs ~tasks =
-  if not (Atomic.exchange jobs_warned true) then
-    Printf.eprintf
-      "warning: --jobs %d exceeds the %d parallelizable task(s); extra \
-       domains stay idle (use --segment-steps to parallelize within a \
-       trace)\n%!"
-      jobs tasks
-
 (* The segmented analysis fan-out over one stream of trace entries:
    configs are partitioned into decode groups
    ([Ilp.Analyze.decode_groups], positions remembered), each group gets
    a segmented sink — or the plain [sink_many] for a stateful predictor's
    group of one — and the stream is teed into all of them.  [finish]
    stitches every group and scatters results back into config order, so
-   callers see exactly the [run_many] contract.  Works identically over
-   a live VM execution (streaming) or a materialized trace
-   ([Vm.Trace.feed]). *)
+   callers see exactly the [run_many] contract. *)
 let segmented_sinks ?pool ?(obs = Obs.Ctx.disabled)
     ?(span_index_base = 0) ?(workload = "") ?check ~segment_steps configs
     info =
@@ -376,26 +390,32 @@ module Run = struct
     step_budget : int option;
     mem_words : int option;
     options : Codegen.Compile.options option;
-    stream : bool;
     deadline_ms : int option;
     obs : Obs.Ctx.t;
     segment_steps : segmenting;
   }
 
-  let config ?(jobs = 1) ?fuel ?step_budget ?mem_words ?options
-      ?(stream = false) ?deadline_ms ?(obs = Obs.Ctx.disabled)
-      ?(segment_steps = `Off) specs =
-    { specs; jobs; fuel; step_budget; mem_words; options; stream;
-      deadline_ms; obs; segment_steps }
+  let config ?(jobs = 1) ?fuel ?step_budget ?mem_words ?options ?deadline_ms
+      ?(obs = Obs.Ctx.disabled) ?(segment_steps = `Off) specs =
+    { specs; jobs; fuel; step_budget; mem_words; options; deadline_ms; obs;
+      segment_steps }
 
   type item = {
     it_workload : Workloads.Registry.t;
     it_outcome : (Ilp.Analyze.result list, Pipeline_error.t) result;
   }
 
+  (* The replay: execute the prepared program again, with the same fuel
+     and memory, so it retires the same entries, straight into every
+     analysis state.  Nothing is recorded.  A deadline rides the replay's
+     observe hook and, when segmented, the per-segment check; the last
+     partial chunk is analyzed at close, after the last observe call, so
+     the clock is checked once more after [finish]. *)
   let on_prepared ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled)
-      ?pool ?(segmenting = `Off) ?(jobs = 1) ?(task_index = 0) p specs =
+      ?pool ?(segmenting = `Off) ?(jobs = 1) ?(task_index = 0) ?deadline p
+      specs =
     let name = p.workload.Workloads.Registry.name in
+    Option.iter Obs.Deadline.check deadline;
     Obs.Span.with_span span_buf ~workload:name "analyze" (fun () ->
         (* One table shared by every vp spec; None when the preparation
            ran without [train_values] (vp then degrades to a no-op). *)
@@ -408,117 +428,30 @@ module Run = struct
           configs_of_specs ~obs ?value_table ~flat:p.flat ~info:p.info
             ~profile:p.profile specs
         in
-        Counters.record_pass ~entries:(Vm.Trace.length p.trace)
-          ~states:(List.length specs);
-        match
-          resolve_segment_steps ~trace_len:(Vm.Trace.length p.trace) ~jobs
-            segmenting
-        with
-        | None ->
-          Ilp.Analyze.run_many ~completeness:p.completeness configs p.info
-            p.trace
-        | Some segment_steps ->
-          let sink, finish =
-            segmented_sinks ?pool ~obs
-              ~span_index_base:((task_index + 1) * 100_000_000)
-              ~workload:name ~segment_steps configs p.info
-          in
-          Vm.Trace.feed p.trace sink;
-          finish ~completeness:p.completeness ())
-
-  (* Returns the per-spec results plus how the analyzed execution
-     ended — the serve reply needs steps and status, the table paths
-     only the results. *)
-  let stream_flat_full ?mem_words ?deadline ?pool ?(segmenting = `Off)
-      ?(jobs = 1) ?(task_index = 0) ~obs ~span_buf ~fuel w flat specs =
-    let name = w.Workloads.Registry.name in
-    let info = Ilp.Program_info.analyze_flat flat in
-    let profile = profile_builder info in
-    let values =
-      if specs_need_values specs then Some (value_builder info) else None
-    in
-    let observe =
-      chain_observe
-        (Option.map Predict.Predictor.Value.observe values)
-        (deadline_observe deadline)
-    in
-    let probe = Obs.Ctx.vm_probe obs in
-    (* Execution 1 trains the profile (and, for vp specs, value)
-       predictor; execution 2 streams into every analysis state.
-       Nothing is materialized in between.  A deadline rides the
-       observe hook of both executions — and because analysis happens
-       {e inside} execution 2's retirement path, the wall-clock guard
-       covers the analyzer too, which a materialized scan would not.
-       The last partial chunk is analyzed at close, after the last
-       observe call, so the clock is checked once more after [finish]. *)
-    let o1 =
-      Obs.Span.with_span span_buf ~workload:name "execute" (fun () ->
-          Vm.Exec.run ?mem_words ~fuel ~record:false ~probe ?observe
-            ~sink:(Predict.Predictor.Profile.sink profile) flat)
-    in
-    Counters.record_execution ~profiled:o1.steps ();
-    Option.iter Obs.Deadline.check deadline;
-    Obs.Span.with_span span_buf ~workload:name "analyze" (fun () ->
-        let value_table =
-          Option.map Predict.Predictor.Value.table values
-        in
-        let configs =
-          configs_of_specs ~obs ?value_table ~flat ~info ~profile specs
-        in
-        (* The profiling execution retired exactly the entries the
-           analysis execution will (same program, fuel, memory), so
-           [o1.steps] is the exact trace length for auto-sizing. *)
         let sink, finish =
-          match
-            resolve_segment_steps ~trace_len:o1.steps ~jobs segmenting
-          with
-          | None ->
-            let sink, fin = Ilp.Analyze.sink_many configs info in
-            (sink, fun ?completeness () -> fin ?completeness ())
+          match resolve_segment_steps ~trace_len:p.steps ~jobs segmenting with
+          | None -> Ilp.Analyze.sink_many configs p.info
           | Some segment_steps ->
-            let check () = Option.iter Obs.Deadline.check deadline in
+            let check =
+              Option.map (fun d () -> Obs.Deadline.check d) deadline
+            in
             segmented_sinks ?pool ~obs
               ~span_index_base:((task_index + 1) * 100_000_000)
-              ~workload:name ~check ~segment_steps configs info
+              ~workload:name ?check ~segment_steps configs p.info
         in
-        let o2 =
-          Vm.Exec.run ?mem_words ~fuel ~record:false ~probe
-            ?observe:(deadline_observe deadline) ~sink flat
+        let o =
+          Vm.Exec.run ?mem_words:p.mem_words ~fuel:p.fuel ~record:false
+            ~probe:(Obs.Ctx.vm_probe obs) ?observe:(deadline_observe deadline)
+            ~sink p.flat
         in
         Counters.record_execution ();
-        Counters.record_pass ~entries:o2.steps ~states:(List.length specs);
-        let results = finish ~completeness:(Vm.Exec.completeness_of o2) () in
+        Counters.record_pass ~entries:o.steps ~states:(List.length specs);
+        let results = finish ~completeness:(Vm.Exec.completeness_of o) () in
         Option.iter Obs.Deadline.check deadline;
-        (results, o2.steps, o2.status))
-
-  let stream_flat ?mem_words ?deadline ?pool ?segmenting ?jobs ?task_index
-      ~obs ~span_buf ~fuel w flat specs =
-    let results, _, _ =
-      stream_flat_full ?mem_words ?deadline ?pool ?segmenting ?jobs
-        ?task_index ~obs ~span_buf ~fuel w flat specs
-    in
-    results
-
-  let stream_result ?options ?mem_words ?fuel ?deadline ?pool ?segmenting
-      ?jobs ?task_index ~obs ~span_buf w specs =
-    let name = w.Workloads.Registry.name in
-    let fuel =
-      match fuel with Some f -> f | None -> w.Workloads.Registry.fuel
-    in
-    let* mem_words = validated_mem_words ~workload:name mem_words in
-    let* flat =
-      Obs.Span.with_span span_buf ~workload:name "compile" (fun () ->
-          Workloads.Registry.compile_result ?options w)
-    in
-    Pipeline_error.guard ~workload:name Execute (fun () ->
-        deadline_guard ~workload:name Execute (fun () ->
-            Option.iter Obs.Deadline.check deadline;
-            Ok
-              (stream_flat ?mem_words ?deadline ?pool ?segmenting ?jobs
-                 ?task_index ~obs ~span_buf ~fuel w flat specs)))
+        results)
 
   (* Parallel fan-out: each workload's whole pipeline — compile,
-     execute, analyze every spec — is one pool task with its own VM
+     train, replay into every spec — is one pool task with its own VM
      state and span buffer; nothing is shared between tasks but the
      atomic metrics.  Results come back in workload order and span
      buffers merge by task index, so the output — results, counter
@@ -529,76 +462,104 @@ module Run = struct
      the pool. *)
   let exec cfg ws =
     let* jobs = validate_jobs cfg.jobs in
-    let specs =
-      (* a spec without its own budget inherits the run's *)
-      List.map
-        (fun s ->
-          match (s.s_step_budget, cfg.step_budget) with
-          | None, (Some _ as b) -> { s with s_step_budget = b }
-          | _ -> s)
-        cfg.specs
-    in
+    let* () = check_fuel cfg.fuel in
+    let* specs = inherit_step_budget cfg.step_budget cfg.specs in
     let task ?pool (i, w) =
       let name = w.Workloads.Registry.name in
-      let buf = Obs.Ctx.task_buffer cfg.obs ~index:i ~label:name in
+      let span_buf = Obs.Ctx.task_buffer cfg.obs ~index:i ~label:name in
       (* Each workload gets the full wall-clock budget, armed when its
-         own pipeline starts.  A deadline forces the streaming path:
-         analysis then happens inside the observed execution, so the
-         guard covers it — a materialized scan would run unclocked. *)
+         own pipeline starts and observed by both executions. *)
       let deadline =
         Option.map (fun budget_ms -> Obs.Deadline.start ~budget_ms)
           cfg.deadline_ms
       in
       let outcome =
         Pipeline_error.guard ~workload:name Execute (fun () ->
-            if cfg.stream || deadline <> None then
-              stream_result ?options:cfg.options ?mem_words:cfg.mem_words
-                ?fuel:cfg.fuel ?deadline ?pool
-                ~segmenting:cfg.segment_steps ~jobs ~task_index:i
-                ~obs:cfg.obs ~span_buf:buf w specs
-            else
-              let* p =
-                prepare_result ?options:cfg.options
-                  ?mem_words:cfg.mem_words ?fuel:cfg.fuel ~obs:cfg.obs
-                  ~span_buf:buf
-                  ~train_values:(specs_need_values specs) w
-              in
-              Ok
-                (on_prepared ~obs:cfg.obs ~span_buf:buf ?pool
-                   ~segmenting:cfg.segment_steps ~jobs ~task_index:i p
-                   specs))
+            let* p =
+              prepare_result ?options:cfg.options ?mem_words:cfg.mem_words
+                ?fuel:cfg.fuel ~obs:cfg.obs ~span_buf
+                ~train_values:(specs_need_values specs) ?deadline w
+            in
+            deadline_guard ~workload:name Execute (fun () ->
+                Ok
+                  (on_prepared ~obs:cfg.obs ~span_buf ?pool
+                     ~segmenting:cfg.segment_steps ~jobs ~task_index:i
+                     ?deadline p specs)))
       in
       { it_workload = w; it_outcome = outcome }
     in
     let indexed = List.mapi (fun i w -> (i, w)) ws in
-    let seg_on = cfg.segment_steps <> `Off in
-    let n_tasks = List.length indexed in
-    if (not seg_on) && n_tasks > 0 && jobs > n_tasks then
-      warn_dead_jobs ~jobs ~tasks:n_tasks;
-    match indexed with
-    | [] -> Ok []
-    | _ when jobs = 1 || ((not seg_on) && n_tasks = 1) ->
-      Ok (List.map (fun iw -> task iw) indexed)
-    | _ when not seg_on ->
+    (* Un-segmented, a workload is one task, so domains beyond the
+       workload count would idle.  Segmentation wants the pool inside
+       every task (decode + stitch fan-out), including the
+       single-workload case; nested submissions are safe, as the pool's
+       submitters and awaiters help drain the queue. *)
+    let width =
+      if cfg.segment_steps = `Off then min jobs (List.length indexed)
+      else jobs
+    in
+    if width <= 1 then Ok (List.map (fun iw -> task iw) indexed)
+    else
       Ok
-        (Stdx.Pool.with_pool ~jobs (fun pool ->
-             Stdx.Pool.map_list pool (fun iw -> task iw) indexed))
-    | _ ->
-      (* Segmentation wants the pool inside every task (decode +
-         stitch fan-out), including the single-workload case — the
-         whole point of intra-trace sharding.  Nested submissions are
-         safe: the pool's submitters and awaiters help drain the
-         queue. *)
-      Ok
-        (Stdx.Pool.with_pool ~jobs (fun pool ->
+        (Stdx.Pool.with_pool ~jobs:width (fun pool ->
              Stdx.Pool.map_list pool (fun iw -> task ~pool iw) indexed))
 end
 
 (* ------------------------------------------------------------------ *)
+(* One injected run, shared by [inject], its segmented differential and
+   the seeded-fault request: plan the perturbation, execute the damaged
+   program once through the injector's observe hook (chained with the
+   deadline's) and its sink wrapper around [analyze]'s sink, and tag the
+   cut.  btfn prediction needs no training execution, keeping injection
+   to a single deterministic run.  [analyze cfg info] is
+   [(sink, states, finish)]: [states] analysis states advance on the
+   sink, and [finish] receives the completeness and returns the
+   sequential results plus anything else the caller analyzed. *)
+let injected_run ?deadline ?mem_words ~obs ~fuel ~machine ~seed ~kind
+    ~analyze flat =
+  let metrics =
+    if Obs.Ctx.enabled obs then Some (Obs.Ctx.metrics obs) else None
+  in
+  let app = Fault.Injector.plan ?metrics ~seed ~fuel kind flat in
+  let flat = app.Fault.Injector.flat in
+  let info = Ilp.Program_info.analyze_flat flat in
+  let predictor =
+    Predict.Predictor.backward_taken
+      ~is_backward:(Ilp.Program_info.branch_backward flat)
+  in
+  let cfg =
+    Ilp.Analyze.config
+      ~mem_words:(Option.value mem_words ~default:Vm.Exec.default_mem_words)
+      machine predictor
+  in
+  let sink, states, finish = analyze cfg info in
+  let outcome =
+    Vm.Exec.run ?mem_words ~fuel:app.Fault.Injector.fuel ~record:false
+      ~sink:(app.Fault.Injector.wrap_sink sink)
+      ~probe:(Obs.Ctx.vm_probe obs)
+      ?observe:
+        (chain_observe app.Fault.Injector.observe (deadline_observe deadline))
+      flat
+  in
+  Counters.record_execution ();
+  let completeness, entries =
+    match !(app.Fault.Injector.cut) with
+    | Some f -> (Pipeline_error.Truncated f, f.Pipeline_error.f_step)
+    | None -> (Vm.Exec.completeness_of outcome, outcome.steps)
+  in
+  Counters.record_pass ~entries ~states;
+  (app, outcome, finish completeness)
+
+let analyze_one cfg info =
+  let sink, finish = Ilp.Analyze.sink_many [ cfg ] info in
+  (sink, 1, fun completeness -> (finish ~completeness (), ()))
+
+(* ------------------------------------------------------------------ *)
 (* Request-shaped entry point: one workload, per-request quotas, an
    optional precompiled program (cache hit) and an optional seeded
-   fault — the unit of work the serve daemon executes.  Always streams,
-   so a wall-clock deadline covers execution {e and} analysis. *)
+   fault — the unit of work the serve daemon executes.  The same
+   train-then-replay path as [Run.exec], so a wall-clock deadline
+   covers execution {e and} analysis. *)
 
 module Request = struct
   type reply = {
@@ -608,54 +569,6 @@ module Request = struct
     r_status : Vm.Exec.status;
   }
 
-  (* The seeded-fault variant of the request body: single execution,
-     btfn prediction (no training pass), analysis streamed through the
-     injector's wrapped sink, deadline chained onto the injector's own
-     observe hook. *)
-  let exec_injected ~obs ~deadline ~mem_words ~fuel ~machine ~seed ~kind
-      flat =
-    let metrics =
-      if Obs.Ctx.enabled obs then Some (Obs.Ctx.metrics obs) else None
-    in
-    let app = Fault.Injector.plan ?metrics ~seed ~fuel kind flat in
-    let dflat = app.Fault.Injector.flat in
-    let info = Ilp.Program_info.analyze_flat dflat in
-    let predictor =
-      Predict.Predictor.backward_taken
-        ~is_backward:(Ilp.Program_info.branch_backward dflat)
-    in
-    let cfg =
-      Ilp.Analyze.config
-        ~mem_words:
-          (Option.value mem_words ~default:Vm.Exec.default_mem_words)
-        machine predictor
-    in
-    let sink, finish = Ilp.Analyze.sink_many [ cfg ] info in
-    let sink = app.Fault.Injector.wrap_sink sink in
-    let observe =
-      chain_observe app.Fault.Injector.observe (deadline_observe deadline)
-    in
-    let outcome =
-      Vm.Exec.run ?mem_words ~fuel:app.Fault.Injector.fuel ~record:false
-        ~sink ~probe:(Obs.Ctx.vm_probe obs) ?observe dflat
-    in
-    Counters.record_execution ();
-    let analyzed_entries =
-      match !(app.Fault.Injector.cut) with
-      | Some f -> f.Pipeline_error.f_step
-      | None -> outcome.steps
-    in
-    Counters.record_pass ~entries:analyzed_entries ~states:1;
-    let completeness =
-      match !(app.Fault.Injector.cut) with
-      | Some f -> Pipeline_error.Truncated f
-      | None -> Vm.Exec.completeness_of outcome
-    in
-    { r_flat = flat;
-      r_results = finish ~completeness ();
-      r_steps = outcome.steps;
-      r_status = outcome.status }
-
   let exec ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled) ?flat
       ?fuel ?step_budget ?mem_words ?deadline_ms ?inject ?pool
       ?(segment_steps = `Off) ~specs w =
@@ -663,18 +576,8 @@ module Request = struct
       match pool with Some p -> Stdx.Pool.jobs p | None -> 1
     in
     let name = w.Workloads.Registry.name in
-    let fuel =
-      match fuel with Some f -> f | None -> w.Workloads.Registry.fuel
-    in
-    let specs =
-      (* a spec without its own budget inherits the request's *)
-      List.map
-        (fun s ->
-          match (s.s_step_budget, step_budget) with
-          | None, (Some _ as b) -> { s with s_step_budget = b }
-          | _ -> s)
-        specs
-    in
+    let* fuel = resolve_fuel w fuel in
+    let* specs = inherit_step_budget step_budget specs in
     let* mem_words = validated_mem_words ~workload:name mem_words in
     (* The clock starts before compilation: a cache miss spends budget
        compiling, a hit keeps it all for execution. *)
@@ -699,16 +602,26 @@ module Request = struct
                 | s :: _ -> s.s_machine
                 | [] -> Ilp.Machine.sp_cd_mf
               in
-              Ok
-                (exec_injected ~obs ~deadline ~mem_words ~fuel ~machine
-                   ~seed ~kind flat)
-            | None ->
-              let r_results, r_steps, r_status =
-                Run.stream_flat_full ?mem_words ?deadline ?pool
-                  ~segmenting:segment_steps ~jobs ~obs ~span_buf ~fuel w
-                  flat specs
+              let _, outcome, (r_results, ()) =
+                injected_run ?deadline ?mem_words ~obs ~fuel ~machine ~seed
+                  ~kind ~analyze:analyze_one flat
               in
-              Ok { r_flat = flat; r_results; r_steps; r_status }))
+              Ok
+                { r_flat = flat; r_results; r_steps = outcome.steps;
+                  r_status = outcome.status }
+            | None ->
+              let p =
+                prepare_flat ?mem_words ~probe:(Obs.Ctx.vm_probe obs)
+                  ~span_buf ~train_values:(specs_need_values specs)
+                  ?deadline ~fuel w flat
+              in
+              let r_results =
+                Run.on_prepared ~obs ~span_buf ?pool ~segmenting:segment_steps
+                  ~jobs ?deadline p specs
+              in
+              Ok
+                { r_flat = flat; r_results; r_steps = p.steps;
+                  r_status = p.status }))
 end
 
 type check_result = {
@@ -804,130 +717,52 @@ type injected = {
   i_result : Ilp.Analyze.result;
 }
 
-let inject ?fuel ?(obs = Obs.Ctx.disabled)
-    ?(machine = Ilp.Machine.sp_cd_mf) ~seed ~kind w =
-  let fuel =
-    match fuel with Some f -> f | None -> w.Workloads.Registry.fuel
-  in
-  match Workloads.Registry.compile_result w with
-  | Error e -> Error e
-  | Ok flat ->
-    let metrics =
-      if Obs.Ctx.enabled obs then Some (Obs.Ctx.metrics obs) else None
-    in
-    let app = Fault.Injector.plan ?metrics ~seed ~fuel kind flat in
-    (* The fault barrier: a corrupted program may break static analysis
-       in ways no enumerated error covers; anything escaping becomes a
-       typed Internal error rather than an exception. *)
-    Pipeline_error.guard ~workload:w.Workloads.Registry.name Analyze
-      (fun () ->
-        let flat = app.Fault.Injector.flat in
-        let info = Ilp.Program_info.analyze_flat flat in
-        (* btfn needs no training execution, keeping injection to a
-           single deterministic run *)
-        let predictor =
-          Predict.Predictor.backward_taken
-            ~is_backward:(Ilp.Program_info.branch_backward flat)
-        in
-        let cfg =
-          Ilp.Analyze.config ~mem_words:Vm.Exec.default_mem_words machine
-            predictor
-        in
-        let sink, finish = Ilp.Analyze.sink_many [ cfg ] info in
-        let sink = app.Fault.Injector.wrap_sink sink in
-        let outcome =
-          Vm.Exec.run ~fuel:app.Fault.Injector.fuel ~record:false ~sink
-            ~probe:(Obs.Ctx.vm_probe obs)
-            ?observe:app.Fault.Injector.observe flat
-        in
-        Counters.record_execution ();
-        let analyzed_entries =
-          match !(app.Fault.Injector.cut) with
-          | Some f -> f.Pipeline_error.f_step
-          | None -> outcome.steps
-        in
-        Counters.record_pass ~entries:analyzed_entries ~states:1;
-        let completeness =
-          match !(app.Fault.Injector.cut) with
-          | Some f -> Pipeline_error.Truncated f
-          | None -> Vm.Exec.completeness_of outcome
-        in
-        match finish ~completeness () with
-        | [ r ] ->
-          Ok
-            { i_workload = w.Workloads.Registry.name;
-              i_kind = kind;
-              i_seed = seed;
-              i_description = app.Fault.Injector.description;
-              i_status = outcome.status;
-              i_steps = outcome.steps;
-              i_result = r }
-        | _ -> assert false)
+(* Compile [w] and run one injected case behind the fault barrier: a
+   corrupted program may break static analysis in ways no enumerated
+   error covers; anything escaping becomes a typed Internal error rather
+   than an exception. *)
+let inject_with ?fuel ?(obs = Obs.Ctx.disabled)
+    ?(machine = Ilp.Machine.sp_cd_mf) ~seed ~kind ~analyze w =
+  let name = w.Workloads.Registry.name in
+  let* fuel = resolve_fuel w fuel in
+  let* flat = Workloads.Registry.compile_result w in
+  Pipeline_error.guard ~workload:name Analyze (fun () ->
+      let app, (outcome : Vm.Exec.outcome), (results, extra) =
+        injected_run ~obs ~fuel ~machine ~seed ~kind ~analyze flat
+      in
+      Ok
+        ( { i_workload = name;
+            i_kind = kind;
+            i_seed = seed;
+            i_description = app.Fault.Injector.description;
+            i_status = outcome.status;
+            i_steps = outcome.steps;
+            i_result = List.hd results },
+          extra ))
+
+let inject ?fuel ?obs ?machine ~seed ~kind w =
+  Result.map fst
+    (inject_with ?fuel ?obs ?machine ~seed ~kind ~analyze:analyze_one w)
 
 (* The segmented-vs-sequential differential on a perturbed pipeline:
-   run the injected execution once, materializing exactly the stream
-   the analyzer would have seen (the injector's sink wrapper applies
-   its cut to the buffer), then analyze that buffer both ways and
-   compare results structurally.  Returns the sequential result (for
-   the usual completeness tally) plus the verdict. *)
-let inject_compare ?fuel ?(obs = Obs.Ctx.disabled)
-    ?(machine = Ilp.Machine.sp_cd_mf) ~seed ~kind ~segment_steps w =
-  let fuel =
-    match fuel with Some f -> f | None -> w.Workloads.Registry.fuel
+   the one injected execution is teed into the sequential analyzer and
+   an un-pooled segmented sink, which see exactly the same (possibly
+   cut) stream.  Returns the sequential result (for the usual
+   completeness tally) plus whether the two agree structurally. *)
+let inject_compare ?fuel ?obs ?machine ~seed ~kind ~segment_steps w =
+  let analyze cfg info =
+    let seq, seq_finish = Ilp.Analyze.sink_many [ cfg ] info in
+    let seg, seg_finish = Ilp.Segmented.sink ~segment_steps [ cfg ] info in
+    ( Vm.Trace.tee seq seg,
+      2,
+      fun completeness ->
+        let o = seg_finish ~completeness () in
+        Counters.record_segments o.Ilp.Segmented.segments;
+        (seq_finish ~completeness (), o.Ilp.Segmented.results) )
   in
-  match Workloads.Registry.compile_result w with
-  | Error e -> Error e
-  | Ok flat ->
-    let metrics =
-      if Obs.Ctx.enabled obs then Some (Obs.Ctx.metrics obs) else None
-    in
-    let app = Fault.Injector.plan ?metrics ~seed ~fuel kind flat in
-    Pipeline_error.guard ~workload:w.Workloads.Registry.name Analyze
-      (fun () ->
-        let flat = app.Fault.Injector.flat in
-        let info = Ilp.Program_info.analyze_flat flat in
-        let predictor =
-          Predict.Predictor.backward_taken
-            ~is_backward:(Ilp.Program_info.branch_backward flat)
-        in
-        let cfg =
-          Ilp.Analyze.config ~mem_words:Vm.Exec.default_mem_words machine
-            predictor
-        in
-        let buf = Vm.Trace.create () in
-        let sink = app.Fault.Injector.wrap_sink (Vm.Trace.buffer_sink buf) in
-        let outcome =
-          Vm.Exec.run ~fuel:app.Fault.Injector.fuel ~record:false ~sink
-            ~probe:(Obs.Ctx.vm_probe obs)
-            ?observe:app.Fault.Injector.observe flat
-        in
-        Counters.record_execution ();
-        let completeness =
-          match !(app.Fault.Injector.cut) with
-          | Some f -> Pipeline_error.Truncated f
-          | None -> Vm.Exec.completeness_of outcome
-        in
-        Counters.record_pass ~entries:(Vm.Trace.length buf) ~states:1;
-        let seq =
-          Ilp.Analyze.run_many ~completeness [ cfg ] info buf
-        in
-        Counters.record_pass ~entries:(Vm.Trace.length buf) ~states:1;
-        let seg =
-          Ilp.Segmented.run ~completeness ~segment_steps [ cfg ] info buf
-        in
-        Counters.record_segments seg.Ilp.Segmented.segments;
-        match (seq, seg.Ilp.Segmented.results) with
-        | [ r ], [ r' ] ->
-          Ok
-            ( { i_workload = w.Workloads.Registry.name;
-                i_kind = kind;
-                i_seed = seed;
-                i_description = app.Fault.Injector.description;
-                i_status = outcome.status;
-                i_steps = outcome.steps;
-                i_result = r },
-              r = r' )
-        | _ -> assert false)
+  Result.map
+    (fun (inj, seg) -> (inj, [ inj.i_result ] = seg))
+    (inject_with ?fuel ?obs ?machine ~seed ~kind ~analyze w)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz driver: the pipeline invariant, checked in bulk.  Every seeded
@@ -965,6 +800,7 @@ module Fuzz = struct
       ?(obs = Obs.Ctx.disabled) ?(random_machines = false)
       ?(segments = false) ~seed ~cases () =
     let* jobs = validate_jobs jobs in
+    let* () = check_fuel fuel in
     let wl = Array.of_list workloads in
     let kinds = Array.of_list Fault.Injector.all_kinds in
     let n_kinds = Array.length kinds in

@@ -1,20 +1,15 @@
 (** Convenience layer tying the pipeline together: compile a workload,
-    execute it once, and analyze the trace under any set of machine
+    train its predictors, and analyze its trace under any set of machine
     models in a single pass.
 
     {!Run} is the one entry point: build a {!Run.config} — the spec
     list plus the jobs count, instruction budgets and observability
-    context — and {!Run.exec} it over any list of workloads.  Two
-    execution modes share all the analysis code:
-
-    - materialized (default): execute once, recording the trace and
-      training the paper's profile predictor {e during} execution
-      through a trace sink; then fan every spec out over one scan of
-      that trace.
-    - streaming ([stream = true]): never materialize the trace — one
-      execution trains the predictor, a second streams straight into
-      the fan-out analyzer.  Memory stays O(program), so instruction
-      budgets can grow to paper scale (100M+).
+    context — and {!Run.exec} it over any list of workloads.  Every
+    workload takes one path: a training execution ({!prepare}) feeds
+    the paper's profile predictor through a trace sink, then a replay
+    ({!Run.on_prepared}) executes the program again straight into the
+    fan-out analyzer.  No trace is ever materialized, so memory stays
+    O(program) and instruction budgets can grow to paper scale (100M+).
 
     Robustness: a faulting or fuel-capped execution is a first-class
     outcome, not an error — its trace prefix is analyzed and every
@@ -32,7 +27,8 @@
     [jobs = N] run reports exactly the sequential numbers.
 
     {!Counters} tracks VM executions and trace passes so callers (and
-    tests) can verify the one-execution/one-pass property. *)
+    tests) can verify the two-execution/one-pass property: one training
+    execution, one replay, and one analyzer pass however many specs. *)
 
 (** Global instrumentation: how much work the pipeline has done.
     Backed by counters in {!Obs.Metrics.global}, so a registry
@@ -43,9 +39,8 @@ module Counters : sig
   (** VM executions since the last [reset]. *)
 
   val passes : unit -> int
-  (** Trace consumptions by the analyzer (a [run_many] fan-out over N
-      machines counts once; a streaming analysis execution counts
-      once). *)
+  (** Trace consumptions by the analyzer (a replay fanned out over N
+      machines counts once). *)
 
   val entries : unit -> int
   (** Trace entries scanned, summed over passes. *)
@@ -74,14 +69,18 @@ end
 val validate_jobs : int -> (int, Pipeline_error.t) result
 (** Every [--jobs] surface funnels through this: [j < 1] is a typed
     [Invalid_request] ("jobs must be at least 1 (got N)", exit code 2),
-    identical across run, fuzz and bench. *)
+    identical across run, fuzz and bench.  Fuel and step budgets below
+    1 get the same treatment ("fuel must be at least 1 (got N)") in
+    every typed entry point that takes them: {!prepare_result},
+    {!Run.exec}, {!Request.exec}, {!inject} and {!Fuzz.run}. *)
 
 type prepared = {
   workload : Workloads.Registry.t;
   flat : Asm.Program.flat;
   info : Ilp.Program_info.t;
-  trace : Vm.Trace.t;
-  steps : int;
+  fuel : int;  (** the instruction budget, which the replay reuses *)
+  mem_words : int option;  (** the VM memory, which the replay reuses *)
+  steps : int;  (** instructions the training execution retired *)
   status : Vm.Exec.status;  (** how the execution ended *)
   completeness : Pipeline_error.completeness;
   (** [Complete] for a clean halt; [Truncated] with the fault
@@ -104,12 +103,13 @@ val prepare :
   Workloads.Registry.t ->
   prepared
 (** Compile (optionally with if-conversion), statically analyze, and
-    execute one workload, profiling its branches on the way.  A fault
-    or fuel exhaustion does {e not} raise: the trace prefix is kept and
-    [status]/[completeness] record what happened.  Compile errors still
-    raise (use {!prepare_result} for the typed-error path).  [obs]
-    supplies the VM probe; [span_buf] receives ["compile"] and
-    ["execute"] spans.
+    run the training execution of one workload, profiling its branches
+    on the way; no trace is recorded.  A fault or fuel exhaustion does
+    {e not} raise: [status]/[completeness] record what happened, and
+    the replay analyzes the same prefix.  Compile errors still raise
+    (use {!prepare_result} for the typed-error path).  [obs] supplies
+    the VM probe; [span_buf] receives ["compile"] and ["execute"]
+    spans.
 
     [train_values] (default [false]) additionally trains the last-value
     predictability profile ({!Predict.Predictor.Value}) during the same
@@ -128,18 +128,16 @@ val prepare_result :
   Workloads.Registry.t ->
   (prepared, Pipeline_error.t) result
 (** Like {!prepare} but total: compile errors arrive as
-    [Error { cause = Compile_error _; _ }], [mem_words] beyond
-    {!Vm.Exec.max_mem_words} as [Budget_exceeded], and any unexpected
-    exception is caught by the {!Pipeline_error.guard} barrier.
+    [Error { cause = Compile_error _; _ }], [fuel < 1] as
+    [Invalid_request], [mem_words] beyond {!Vm.Exec.max_mem_words} as
+    [Budget_exceeded], and any unexpected exception is caught by the
+    {!Pipeline_error.guard} barrier.
 
     [deadline] arms the wall-clock guard: {!Obs.Deadline.observe} rides
     the VM observe hook, and expiry — mid-execution or at a stage
     boundary — degrades to a typed [Deadline_exceeded] error (exit
-    code 6), never an exception.  Note the deadline covers the
-    {e execution} only; analysis of a materialized trace runs
-    unclocked.  Deadline-bounded analysis goes through the streaming
-    path ({!Run.config}[.deadline_ms], {!Request.exec}), where analysis
-    happens inside the observed execution. *)
+    code 6), never an exception.  Pass the same deadline to
+    {!Run.on_prepared} to clock the replay, and with it the analysis. *)
 
 val prepare_source :
   ?fuel:int -> ?train_values:bool -> name:string -> string -> prepared
@@ -204,9 +202,7 @@ val specs_need_values : spec list -> bool
 type segmenting = [ `Off | `Auto | `Steps of int ]
 
 (** The unified run API.  One config, one [exec], uniform per-workload
-    outcomes — this subsumes the former [analyze] / [analyze_all] /
-    [analyze_specs] / [run_streaming] / [run_streaming_result] /
-    [run_streaming_all] family. *)
+    outcomes. *)
 module Run : sig
   type config = {
     specs : spec list;  (** analysis fan-out, shared by every workload *)
@@ -219,15 +215,12 @@ module Run : sig
     (** default analysis step budget for specs that set none *)
     mem_words : int option;  (** VM memory override, validated *)
     options : Codegen.Compile.options option;  (** compile options *)
-    stream : bool;
-    (** [false]: materialize each trace (one execution + one scan);
-        [true]: stream (two executions, O(program) memory) *)
     deadline_ms : int option;
-    (** per-workload wall-clock budget.  Setting it forces the
-        streaming path (so the clock covers analysis too); each
-        workload's deadline is armed when its own pipeline starts, and
-        expiry yields that workload's typed [Deadline_exceeded] error
-        (exit code 6) — the batch continues. *)
+    (** per-workload wall-clock budget, observed by the training
+        execution and the replay, so the clock covers analysis too.
+        Each workload's deadline is armed when its own pipeline starts,
+        and expiry yields that workload's typed [Deadline_exceeded]
+        error (exit code 6) — the batch continues. *)
     obs : Obs.Ctx.t;  (** observability context; {!Obs.Ctx.disabled}
                           costs the hot loops one bool test *)
     segment_steps : segmenting;
@@ -235,8 +228,7 @@ module Run : sig
         [jobs > 1] parallelize {e within} each workload's trace
         (segment decode + per-config stitch fan-out), so a single
         workload saturates the pool; [`Off] parallelizes across
-        workloads only (and warns once when [jobs] exceeds the
-        workload count). *)
+        workloads only, on a pool of [min jobs workloads] domains. *)
   }
 
   val config :
@@ -245,15 +237,14 @@ module Run : sig
     ?step_budget:int ->
     ?mem_words:int ->
     ?options:Codegen.Compile.options ->
-    ?stream:bool ->
     ?deadline_ms:int ->
     ?obs:Obs.Ctx.t ->
     ?segment_steps:segmenting ->
     spec list ->
     config
   (** Defaults: sequential ([jobs = 1]), workload fuel, no step budget,
-      default VM memory, no compile options, materialized trace, no
-      deadline, observability disabled, no segmentation. *)
+      default VM memory, no compile options, no deadline, observability
+      disabled, no segmentation. *)
 
   (** One workload's outcome: the full result-per-spec list, or that
       workload's typed error.  A failure never aborts the batch. *)
@@ -264,9 +255,11 @@ module Run : sig
 
   val exec :
     config -> Workloads.Registry.t list -> (item list, Pipeline_error.t) result
-  (** Run every workload through compile → execute → analyze under the
-      config.  [Error] only for an invalid config ([jobs < 1]); every
-      per-workload failure is carried in its {!item}.  With [jobs > 1]
+  (** Run every workload through compile → train → replay into the
+      analyzer under the config: {!prepare_result}, then
+      {!on_prepared}.  [Error] only for an invalid config ([jobs],
+      [fuel] or a step budget below 1); every per-workload failure is
+      carried in its {!item}.  With [jobs > 1]
       workloads fan out over a domain pool, each task with its own VM
       state, analysis sinks and span buffer; results are merged by
       workload index, so the output — results, {!Counters} totals,
@@ -287,13 +280,20 @@ module Run : sig
     ?segmenting:segmenting ->
     ?jobs:int ->
     ?task_index:int ->
+    ?deadline:Obs.Deadline.t ->
     prepared ->
     spec list ->
     Ilp.Analyze.result list
-  (** Fan specs out over a {e single} pass of an already-prepared trace
-      (results in spec order, completeness-tagged).  This is the
-      materialized analysis half of {!exec}, exposed for drivers that
-      cache {!prepared} values across spec sets (the bench store).
+  (** The replay: execute the prepared program again (same fuel and
+      memory, so the same entries) straight into every spec's analysis
+      state, a {e single} pass however many specs (results in spec
+      order, completeness-tagged).  Nothing is recorded.  This is the
+      analysis half of {!exec} and {!Request.exec}, exposed for drivers
+      that cache {!prepared} values across spec sets (the bench store).
+
+      [deadline] rides the replay's observe hook and the per-segment
+      check; expiry raises {!Obs.Deadline.Expired}, which {!exec} and
+      {!Request.exec} turn into the typed [Deadline_exceeded].
 
       [segmenting] (default [`Off]) shards the trace per DESIGN.md §15;
       [jobs] (default 1) feeds [`Auto] stride resolution, [pool] hosts
@@ -304,8 +304,8 @@ end
 
 (** Request-shaped entry point: one workload, per-request quotas, an
     optional precompiled program, an optional seeded fault — the unit
-    of work the [ilp-limits serve] daemon executes per request.
-    Always streams (analysis runs inside the observed execution), so
+    of work the [ilp-limits serve] daemon executes per request.  It
+    takes {!Run.exec}'s path (train, then replay into the analyzer), so
     the wall-clock deadline covers execution {e and} analysis. *)
 module Request : sig
   type reply = {
@@ -333,7 +333,8 @@ module Request : sig
     Workloads.Registry.t ->
     (reply, Pipeline_error.t) result
   (** Execute one request.  Total: every failure mode is a typed
-      {!Pipeline_error.t} — compile errors, quota violations
+      {!Pipeline_error.t} — compile errors, [fuel] or a step budget
+      below 1 ([Invalid_request]), quota violations
       ([Budget_exceeded]), wall-clock expiry ([Deadline_exceeded],
       armed {e before} compilation so a cache miss pays for its own
       compile), VM faults, and anything unexpected via the
@@ -450,9 +451,10 @@ val inject :
 (** Compile [w], apply the seeded perturbation, execute, and analyze
     the surviving trace under one configuration (default machine
     [sp_cd_mf]; btfn prediction — chosen because it needs no
-    second training execution, keeping injection to a single
-    deterministic run).  Total: compile errors and anything a corrupted
-    program provokes come back as [Error]; same seed, same report.
+    training execution, keeping injection to a single
+    deterministic run).  Total: compile errors, [fuel < 1] and anything
+    a corrupted program provokes come back as [Error]; same seed, same
+    report.
     [obs] counts the plan under [fault_planned_total{kind=...}] and
     probes the damaged execution. *)
 
@@ -497,12 +499,12 @@ module Fuzz : sig
       point ({!Ilp.Machine.random} of the case seed) instead of always
       [sp_cd_mf], fuzzing the compositional model end to end.  With
       [segments] (default [false]) every case additionally runs the
-      segmented-vs-sequential differential: the perturbed trace is
-      analyzed both ways under a per-case segment stride drawn from
+      segmented-vs-sequential differential: the one perturbed execution
+      is teed into both analyzers under a per-case segment stride drawn from
       the same seed stream (1–4096), and any divergence is an
       invariant violation reported through [escaped].  With
       [jobs > 1] the cases run on a domain pool; because each case's
       seed depends only on its index, the report is identical for every
-      [jobs] value and scheduling order.  [Error] only for [jobs < 1]
-      (same typed message as {!Run.exec}, via {!validate_jobs}). *)
+      [jobs] value and scheduling order.  [Error] only for [jobs < 1] or
+      [fuel < 1] (same typed messages as {!Run.exec}). *)
 end

@@ -84,10 +84,6 @@ let iter f t =
       done)
     t
 
-let feed t s =
-  iter s.on_entry t;
-  s.on_close ()
-
 (* Segments: fixed-stride slices of a trace, each owning plain int
    arrays so a filled segment can be handed to another domain without
    sharing the trace's chunks. *)

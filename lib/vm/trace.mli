@@ -79,10 +79,6 @@ val iter_chunks :
     entries ([len = chunk_size] for every chunk but the last).  [f]
     must not write to the arrays or keep them past the trace. *)
 
-val feed : t -> sink -> unit
-(** Replay a materialized trace into a sink, entry by entry, then close
-    it.  [feed t (buffer_sink t')] copies the trace. *)
-
 (** A fixed-stride slice of a trace.  Entries [seg_base ..
     seg_base + seg_len - 1] of the stream live at indices [0 ..
     seg_len - 1] of [seg_pcs]/[seg_auxs].  The arrays are owned by the

@@ -37,7 +37,7 @@ let soundness_workloads () =
       in
       match
         Harness.Run.exec
-          (Harness.Run.config ~fuel ~stream:true specs)
+          (Harness.Run.config ~fuel specs)
           [ w ]
       with
       | Error e ->
@@ -260,7 +260,7 @@ let cross_check_prepared name (p : Harness.prepared) =
           end
           else count := 0)
         bounded_loops)
-    p.trace;
+    (Recorded.trace p);
   !checked
 
 let test_workload_classification_dynamic () =

@@ -13,8 +13,7 @@ let run_insns ?fuel insns =
   in
   Vm.Exec.run ?fuel ~mem_words:4096 (P.resolve prog)
 
-let fault_kind_of outcome =
-  match outcome.Vm.Exec.status with
+let fault_kind_of = function
   | Vm.Exec.Fault f -> Some f.E.f_kind
   | Halted _ | Out_of_fuel -> None
 
@@ -41,7 +40,8 @@ let mem_workload =
 let test_vm_fault_classes () =
   let check name expected insns =
     let o = run_insns insns in
-    Alcotest.(check (option kind)) name (Some expected) (fault_kind_of o);
+    Alcotest.(check (option kind)) name (Some expected)
+      (fault_kind_of o.status);
     (* the typed fault also tags completeness for the analyzer *)
     match Vm.Exec.completeness_of o with
     | E.Truncated f ->
@@ -73,25 +73,23 @@ let test_jtab_fault () =
   in
   let o = Vm.Exec.run ~mem_words:4096 (P.resolve prog) in
   Alcotest.(check (option kind)) "jtab" (Some E.Jtab_out_of_range)
-    (fault_kind_of o)
+    (fault_kind_of o.status)
 
-(* --- faulting workloads through prepare / streaming Run.exec ------- *)
+(* --- faulting workloads through prepare / Run.exec ------------------ *)
 
 let spec1 = [ Harness.spec Ilp.Machine.sp_cd_mf ]
 
-(* One workload through the streaming pipeline, as a result. *)
-let stream_result ?fuel ?mem_words w specs =
+(* One workload through Run.exec, as a result. *)
+let exec_result ?fuel ?mem_words w specs =
   match
-    Harness.Run.exec
-      (Harness.Run.config ?fuel ?mem_words ~stream:true specs)
-      [ w ]
+    Harness.Run.exec (Harness.Run.config ?fuel ?mem_words specs) [ w ]
   with
   | Ok [ it ] -> it.Harness.Run.it_outcome
   | Ok _ -> Alcotest.fail "one workload, one item"
   | Error e -> Error e
 
-let stream ?fuel w specs =
-  match stream_result ?fuel w specs with
+let exec ?fuel w specs =
+  match exec_result ?fuel w specs with
   | Ok rs -> rs
   | Error e -> Alcotest.fail (E.to_string e)
 
@@ -104,9 +102,7 @@ let test_prepare_faulting () =
     (fun (w, expected) ->
       let p = Harness.prepare w in
       Alcotest.(check (option kind)) (w.Workloads.Registry.name ^ " status")
-        (Some expected) (fault_kind_of
-          { Vm.Exec.status = p.Harness.status; trace = p.trace;
-            steps = p.steps });
+        (Some expected) (fault_kind_of p.Harness.status);
       let results = Harness.Run.on_prepared p spec1 in
       List.iter
         (fun (r : Ilp.Analyze.result) ->
@@ -122,7 +118,7 @@ let test_prepare_faulting () =
 let test_streaming_faulting () =
   List.iter
     (fun (w, expected) ->
-      match stream_result w spec1 with
+      match exec_result w spec1 with
       | Error e -> Alcotest.fail (E.to_string e)
       | Ok [ r ] ->
         Alcotest.(check (option kind)) (w.Workloads.Registry.name ^ " tag")
@@ -136,7 +132,7 @@ let test_streaming_faulting () =
 let test_fuel_truncation_all () =
   List.iter
     (fun w ->
-      match stream ~fuel:2_000 w spec1 with
+      match exec ~fuel:2_000 w spec1 with
       | [ r ] ->
         Alcotest.(check (option kind)) (w.Workloads.Registry.name ^ " fuel")
           (Some E.Out_of_fuel)
@@ -144,12 +140,19 @@ let test_fuel_truncation_all () =
       | _ -> Alcotest.fail "one spec, one result")
     Workloads.Registry.all
 
-(* streaming and materialized paths must agree on the tag too *)
+(* the replay and a scan of the recorded trace must agree on the tag
+   too *)
 let test_truncated_equivalence () =
   let w = Workloads.Registry.find "eqntott" in
   let p = Harness.prepare ~fuel:3_000 w in
-  let a = Harness.Run.on_prepared p spec1 in
-  let b = stream ~fuel:3_000 w spec1 in
+  let o = Vm.Exec.run ~fuel:3_000 p.flat in
+  let a =
+    Ilp.Analyze.run_many ~completeness:(Vm.Exec.completeness_of o)
+      [ Ilp.Analyze.config ~mem_words:Vm.Exec.default_mem_words
+          Ilp.Machine.sp_cd_mf (Harness.profile_predictor p) ]
+      p.info o.trace
+  in
+  let b = exec ~fuel:3_000 w spec1 in
   List.iter2
     (fun (x : Ilp.Analyze.result) (y : Ilp.Analyze.result) ->
       Alcotest.(check (float 1e-9)) "parallelism" x.parallelism y.parallelism;
@@ -164,7 +167,7 @@ let test_step_budget () =
   let w = Workloads.Registry.find "awk" in
   let budget = 500 in
   match
-    stream ~fuel:20_000 w
+    exec ~fuel:20_000 w
       [ Harness.spec ~step_budget:budget Ilp.Machine.sp_cd_mf ]
   with
   | [ r ] ->
@@ -187,42 +190,38 @@ let test_mem_words_guard () =
     | _ -> Alcotest.fail ("wrong cause: " ^ E.to_string e));
     Alcotest.(check int) "exit code" 5 (E.exit_code e)
   | Ok _ -> Alcotest.fail "cap not enforced");
-  (match stream_result ~mem_words:0 w spec1 with
+  (match exec_result ~mem_words:0 w spec1 with
   | Error { E.cause = E.Invalid_request _; _ } -> ()
   | Error e -> Alcotest.fail ("wrong cause: " ^ E.to_string e)
   | Ok _ -> Alcotest.fail "zero memory accepted");
   (* A memory smaller than the data segment (awk, ccom, latex) or the
      stack (the rest) truncates every workload; none escapes. *)
-  List.iter
-    (fun stream ->
-      match
-        Harness.Run.exec
-          (Harness.Run.config ~mem_words:16 ~stream spec1)
-          Workloads.Registry.all
-      with
-      | Error e -> Alcotest.fail (E.to_string e)
-      | Ok items ->
-        List.iter
-          (fun (it : Harness.Run.item) ->
-            let name = it.it_workload.Workloads.Registry.name in
-            match it.it_outcome with
-            | Ok [ r ] -> (
-              match r.Ilp.Analyze.completeness with
-              | E.Truncated f ->
-                Alcotest.(check kind) (name ^ " at 16 words")
-                  E.Mem_out_of_range f.E.f_kind;
-                if name = "awk" then begin
-                  Alcotest.(check int) "awk faults before its first step"
-                    0 f.E.f_step;
-                  Alcotest.(check int) "at the entry pc"
-                    (Workloads.Registry.compile w).Asm.Program.entry_pc
-                    f.E.f_pc
-                end
-              | E.Complete -> Alcotest.fail (name ^ ": complete at 16 words"))
-            | Ok _ -> Alcotest.fail "one spec, one result"
-            | Error e -> Alcotest.fail (name ^ ": " ^ E.to_string e))
-          items)
-    [ false; true ]
+  match
+    Harness.Run.exec (Harness.Run.config ~mem_words:16 spec1)
+      Workloads.Registry.all
+  with
+  | Error e -> Alcotest.fail (E.to_string e)
+  | Ok items ->
+    List.iter
+      (fun (it : Harness.Run.item) ->
+        let name = it.it_workload.Workloads.Registry.name in
+        match it.it_outcome with
+        | Ok [ r ] -> (
+          match r.Ilp.Analyze.completeness with
+          | E.Truncated f ->
+            Alcotest.(check kind) (name ^ " at 16 words")
+              E.Mem_out_of_range f.E.f_kind;
+            if name = "awk" then begin
+              Alcotest.(check int) "awk faults before its first step"
+                0 f.E.f_step;
+              Alcotest.(check int) "at the entry pc"
+                (Workloads.Registry.compile w).Asm.Program.entry_pc
+                f.E.f_pc
+            end
+          | E.Complete -> Alcotest.fail (name ^ ": complete at 16 words"))
+        | Ok _ -> Alcotest.fail "one spec, one result"
+        | Error e -> Alcotest.fail (name ^ ": " ^ E.to_string e))
+      items
 
 (* --- typed lookups and compile errors ------------------------------ *)
 
@@ -239,6 +238,45 @@ let test_unknown_names () =
     (Fault.Injector.kind_of_string "bit_flip" = Some Fault.Injector.Bit_flip);
   Alcotest.(check bool) "fault kind unknown" true
     (Fault.Injector.kind_of_string "rowhammer" = None)
+
+(* Fuel and step budgets below 1 are typed invalid requests (exit code
+   2) at every entry point that takes them, never a degenerate run. *)
+let test_nonpositive_budgets () =
+  let w = Workloads.Registry.find "awk" in
+  let expect what want = function
+    | Ok _ -> Alcotest.fail (what ^ ": accepted")
+    | Error (e : E.t) ->
+      (match e.cause with
+      | E.Invalid_request msg -> Alcotest.(check string) what want msg
+      | _ -> Alcotest.fail (what ^ ": wrong cause " ^ E.to_string e));
+      Alcotest.(check int) (what ^ " exit code") 2 (E.exit_code e)
+  in
+  let fuel n = Printf.sprintf "fuel must be at least 1 (got %d)" n in
+  let budget n = Printf.sprintf "step budget must be at least 1 (got %d)" n in
+  List.iter
+    (fun f ->
+      expect "prepare_result" (fuel f) (Harness.prepare_result ~fuel:f w);
+      expect "Run.exec" (fuel f)
+        (Harness.Run.exec (Harness.Run.config ~fuel:f spec1) [ w ]);
+      expect "Request.exec" (fuel f)
+        (Harness.Request.exec ~fuel:f ~specs:spec1 w);
+      expect "inject" (fuel f)
+        (Harness.inject ~fuel:f ~seed:1 ~kind:Fault.Injector.Fuel_cut w);
+      expect "Fuzz.run" (fuel f)
+        (Harness.Fuzz.run ~fuel:f ~workloads:[ w ] ~seed:1 ~cases:1 ()))
+    [ 0; -5 ];
+  List.iter
+    (fun b ->
+      expect "Run.exec budget" (budget b)
+        (Harness.Run.exec (Harness.Run.config ~step_budget:b spec1) [ w ]);
+      expect "spec budget" (budget b)
+        (Harness.Run.exec
+           (Harness.Run.config
+              [ Harness.spec ~step_budget:b Ilp.Machine.sp_cd_mf ])
+           [ w ]);
+      expect "Request.exec budget" (budget b)
+        (Harness.Request.exec ~step_budget:b ~specs:spec1 w))
+    [ 0; -3 ]
 
 let test_compile_error_typed () =
   let bad = faulty_workload "bad" "int main(void) { return 1 +; }" in
@@ -368,6 +406,8 @@ let suite =
     Alcotest.test_case "unknown names get hints" `Quick test_unknown_names;
     Alcotest.test_case "compile errors are typed" `Quick
       test_compile_error_typed;
+    Alcotest.test_case "non-positive fuel and step budgets are typed"
+      `Quick test_nonpositive_budgets;
     Alcotest.test_case "inject is deterministic" `Quick
       test_inject_deterministic;
     Alcotest.test_case "inject kinds behave" `Quick test_inject_kinds_behave;

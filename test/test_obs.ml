@@ -160,12 +160,10 @@ let ws3 =
       List.mem w.Workloads.Registry.name [ "awk"; "eqntott"; "matrix300" ])
     Workloads.Registry.all
 
-let run_obs ~jobs ~stream ws =
+let run_obs ~jobs ws =
   let obs = Obs.Ctx.create ~registry:(M.create ()) () in
   match
-    Harness.Run.exec
-      (Harness.Run.config ~jobs ~fuel:40_000 ~stream ~obs specs)
-      ws
+    Harness.Run.exec (Harness.Run.config ~jobs ~fuel:40_000 ~obs specs) ws
   with
   | Ok items ->
     (items, S.skeleton (Obs.Ctx.spans obs), Obs.Ctx.snapshot obs)
@@ -184,7 +182,7 @@ let outcomes items =
     items
 
 let test_spans_per_stage () =
-  let _, skel, _ = run_obs ~jobs:1 ~stream:false ws3 in
+  let _, skel, _ = run_obs ~jobs:1 ws3 in
   (* exactly one compile, execute and analyze span per workload, at
      depth 0, in pipeline order *)
   let expected =
@@ -198,22 +196,11 @@ let test_spans_per_stage () =
   Alcotest.(check bool) "stage spans" true (Array.to_list skel = expected)
 
 let test_parallel_determinism () =
-  let check ~stream =
-    let i1, sk1, sn1 = run_obs ~jobs:1 ~stream ws3 in
-    let i4, sk4, sn4 = run_obs ~jobs:4 ~stream ws3 in
-    Alcotest.(check bool)
-      (Printf.sprintf "results identical (stream=%b)" stream)
-      true
-      (outcomes i1 = outcomes i4);
-    Alcotest.(check bool)
-      (Printf.sprintf "span skeleton identical (stream=%b)" stream)
-      true (sk1 = sk4);
-    Alcotest.(check bool)
-      (Printf.sprintf "metric snapshot identical (stream=%b)" stream)
-      true (sn1 = sn4)
-  in
-  check ~stream:false;
-  check ~stream:true
+  let i1, sk1, sn1 = run_obs ~jobs:1 ws3 in
+  let i4, sk4, sn4 = run_obs ~jobs:4 ws3 in
+  Alcotest.(check bool) "results identical" true (outcomes i1 = outcomes i4);
+  Alcotest.(check bool) "span skeleton identical" true (sk1 = sk4);
+  Alcotest.(check bool) "metric snapshot identical" true (sn1 = sn4)
 
 let test_counters_in_global_registry () =
   Harness.Counters.reset ();

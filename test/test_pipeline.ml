@@ -1,17 +1,19 @@
-(* The streaming fan-out pipeline: advancing many machine states over
-   one trace pass (Analyze.run_many), or over a live VM execution with
-   no materialized trace (Harness.Run.exec with stream on), must be
-   bit-identical to independent single-machine runs — and the harness
-   must do exactly one execution and one analyzer pass per prepared
+(* The fan-out pipeline: advancing many machine states over one trace
+   pass (Analyze.run_many), or over a live VM replay with no
+   materialized trace (Harness.Run.exec), must be bit-identical to
+   independent single-machine runs — and the harness must do exactly
+   one training execution, one replay and one analyzer pass per
    workload. *)
 
 let machines = Ilp.Machine.all_paper
 
-(* Run one workload through the streaming pipeline, unwrapping the
-   single item the unified entry point returns. *)
-let run_stream ?fuel w specs =
+(* Run one workload through the unified entry point, unwrapping the
+   single item it returns. *)
+let run_exec ?fuel ?deadline_ms ~jobs w specs =
   match
-    Harness.Run.exec (Harness.Run.config ?fuel ~stream:true specs) [ w ]
+    Harness.Run.exec
+      (Harness.Run.config ?fuel ?deadline_ms ~jobs specs)
+      [ w ]
   with
   | Ok [ { Harness.Run.it_outcome = Ok rs; _ } ] -> rs
   | Ok [ { Harness.Run.it_outcome = Error e; _ } ] ->
@@ -38,6 +40,7 @@ let result_t = Alcotest.testable pp_result equal_result
 let test_run_many_golden wname () =
   let w = Workloads.Registry.find wname in
   let p = Harness.prepare ~fuel:200_000 w in
+  let trace = Recorded.trace p in
   let predictor = Harness.profile_predictor p in
   let cfgs =
     List.map
@@ -46,8 +49,8 @@ let test_run_many_golden wname () =
         Ilp.Analyze.config ~collect_segments:true m predictor)
       machines
   in
-  let together = Ilp.Analyze.run_many cfgs p.info p.trace in
-  let separate = List.map (fun c -> Ilp.Analyze.run c p.info p.trace) cfgs in
+  let together = Ilp.Analyze.run_many cfgs p.info trace in
+  let separate = List.map (fun c -> Ilp.Analyze.run c p.info trace) cfgs in
   List.iter2
     (fun got want ->
       Alcotest.check result_t
@@ -55,7 +58,8 @@ let test_run_many_golden wname () =
     together separate
 
 (* The Figure 2/3 worked example (a loop with a data-dependent if, then
-   control-independent code), materialized vs fully streaming. *)
+   control-independent code), materialized vs streamed from the
+   replay. *)
 let figure2_source =
   {|
 int a[6] = {1, 0, 1, 1, 0, 1};
@@ -79,11 +83,28 @@ let figure2_workload =
     lang = "C"; numeric = false; source = figure2_source; fuel = 100_000;
     expected_result = None }
 
-let streaming_matches w specs () =
-  let materialized =
-    Harness.Run.on_prepared (Harness.prepare w) specs
+(* Run.exec against a scan of a trace recorded with Vm.Exec.run, under a
+   profile predictor trained on that trace. *)
+let streaming_matches (w : Workloads.Registry.t) specs () =
+  let flat = Workloads.Registry.compile w in
+  let info = Ilp.Program_info.analyze_flat flat in
+  let o = Vm.Exec.run ~fuel:w.fuel flat in
+  let predictor =
+    Predict.Predictor.profile ~n_static:info.n
+      ~is_cond:(Ilp.Program_info.is_cond_branch info) o.trace
   in
-  let streamed = run_stream w specs in
+  let configs =
+    List.map
+      (fun (s : Harness.spec) ->
+        Ilp.Analyze.config ~collect_segments:s.s_segments
+          ~mem_words:Vm.Exec.default_mem_words s.s_machine predictor)
+      specs
+  in
+  let materialized =
+    Ilp.Analyze.run_many ~completeness:(Vm.Exec.completeness_of o) configs
+      info o.trace
+  in
+  let streamed = run_exec ~jobs:1 w specs in
   List.iter2
     (fun want got ->
       Alcotest.check result_t
@@ -101,34 +122,61 @@ let test_streaming_workload () =
   let w = { (Workloads.Registry.find "eqntott") with fuel = 150_000 } in
   streaming_matches w (List.map Harness.spec machines) ()
 
-(* The acceptance criterion: a prepared workload costs one VM execution,
-   and fanning out all seven machines costs one trace pass. *)
+(* The acceptance criterion: preparing a workload costs one (training)
+   execution, and fanning out all seven machines costs one replay and
+   one trace pass. *)
 let test_counters () =
   Harness.Counters.reset ();
   let w = Workloads.Registry.find "gcc" in
   let p = Harness.prepare ~fuel:150_000 w in
   Alcotest.(check int) "one execution" 1 (Harness.Counters.executions ());
+  Alcotest.(check int) "no pass yet" 0 (Harness.Counters.passes ());
   let _ = Harness.Run.on_prepared p (List.map Harness.spec machines) in
-  Alcotest.(check int) "still one execution" 1
+  Alcotest.(check int) "training + replay" 2
     (Harness.Counters.executions ());
   Alcotest.(check int) "one pass for seven machines" 1
     (Harness.Counters.passes ());
-  Alcotest.(check int) "every entry scanned once" (Vm.Trace.length p.trace)
+  Alcotest.(check int) "every entry scanned once" p.steps
     (Harness.Counters.entries ());
-  Alcotest.(check int) "seven states advanced per entry"
-    (7 * Vm.Trace.length p.trace)
+  Alcotest.(check int) "seven states advanced per entry" (7 * p.steps)
     (Harness.Counters.state_entries ());
-  Alcotest.(check int) "execution profiled every entry"
-    (Vm.Trace.length p.trace)
+  Alcotest.(check int) "training profiled every entry" p.steps
     (Harness.Counters.profiled_entries ());
-  Alcotest.(check int) "analyzed = profiled + state entries"
-    (8 * Vm.Trace.length p.trace)
+  Alcotest.(check int) "analyzed = profiled + state entries" (8 * p.steps)
     (Harness.Counters.analyzed ());
   (* Table 2 statistics come from the execution-time profile: no extra
      execution, no extra pass. *)
   let _ = Harness.branch_stats p in
   let _ = Harness.profile_predictor p in
+  Alcotest.(check int) "stats cost no execution" 2
+    (Harness.Counters.executions ());
   Alcotest.(check int) "stats cost no pass" 1 (Harness.Counters.passes ());
+  Harness.Counters.reset ()
+
+(* A deadline changes nothing but the clock: with and without one, at
+   jobs 1 and 2, a workload takes the same two executions and gives the
+   same results. *)
+let test_deadline_same_path () =
+  let w = Workloads.Registry.find "eqntott" in
+  let specs = List.map Harness.spec machines in
+  let run ?deadline_ms jobs =
+    Harness.Counters.reset ();
+    let rs = run_exec ~fuel:100_000 ?deadline_ms ~jobs w specs in
+    (rs, Harness.Counters.executions ())
+  in
+  let want, _ = run 1 in
+  List.iter
+    (fun (jobs, deadline_ms) ->
+      let what =
+        Printf.sprintf "jobs %d, deadline %s" jobs
+          (match deadline_ms with
+          | Some ms -> string_of_int ms ^ " ms"
+          | None -> "none")
+      in
+      let got, executions = run ?deadline_ms jobs in
+      Alcotest.(check (list result_t)) (what ^ ": results") want got;
+      Alcotest.(check int) (what ^ ": executions") 2 executions)
+    [ (1, None); (1, Some 600_000); (2, None); (2, Some 600_000) ];
   Harness.Counters.reset ()
 
 (* Paper-shape invariant: relaxing control constraints never lowers
@@ -249,6 +297,7 @@ let test_chunk_boundaries () =
    per-call state and buffers included). *)
 let test_fanout_allocation () =
   let p = Harness.prepare ~fuel:200_000 (Workloads.Registry.find "gcc") in
+  let trace = Recorded.trace p in
   let predictor = Harness.profile_predictor p in
   let cfgs =
     List.map
@@ -257,9 +306,9 @@ let test_fanout_allocation () =
       machines
   in
   let before = Gc.minor_words () in
-  ignore (Ilp.Analyze.run_many cfgs p.info p.trace);
+  ignore (Ilp.Analyze.run_many cfgs p.info trace);
   let per_entry =
-    (Gc.minor_words () -. before) /. float_of_int (Vm.Trace.length p.trace)
+    (Gc.minor_words () -. before) /. float_of_int (Vm.Trace.length trace)
   in
   Alcotest.(check bool)
     (Printf.sprintf "%.3f minor words per entry < 1" per_entry)
@@ -273,6 +322,8 @@ let suite =
     Alcotest.test_case "streaming figure2" `Quick test_streaming_figure2;
     Alcotest.test_case "streaming workload" `Quick test_streaming_workload;
     Alcotest.test_case "execution/pass counters" `Quick test_counters;
+    Alcotest.test_case "a deadline takes the same two executions" `Quick
+      test_deadline_same_path;
     Alcotest.test_case "machine ordering: gcc" `Quick
       (test_machine_ordering "gcc");
     Alcotest.test_case "machine ordering: matrix300" `Quick

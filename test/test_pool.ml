@@ -203,7 +203,7 @@ let test_steal_counters_move () =
       Alcotest.(check int) "all tasks completed" 400 st.Stdx.Pool.completed)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel fan-out determinism: Run.exec (streaming) at 4 domains
+(* Parallel fan-out determinism: Run.exec at 4 domains
    against the sequential path, all ten workloads, all seven
    machines. *)
 
@@ -242,7 +242,7 @@ let specs = List.map (fun m -> Harness.spec m) Ilp.Machine.all_paper
 
 let run_all ~jobs ws =
   match
-    Harness.Run.exec (Harness.Run.config ~jobs ~fuel ~stream:true specs) ws
+    Harness.Run.exec (Harness.Run.config ~jobs ~fuel specs) ws
   with
   | Ok items -> List.map (fun it -> it.Harness.Run.it_outcome) items
   | Error e -> Alcotest.fail (Pipeline_error.to_string e)
@@ -336,11 +336,11 @@ let prop_steal_segmented_scheduling_independent =
         | Error e -> Alcotest.fail (Pipeline_error.to_string e)
       in
       let seq =
-        run (Harness.Run.config ~jobs:1 ~fuel:20_000 ~stream:true specs)
+        run (Harness.Run.config ~jobs:1 ~fuel:20_000 specs)
       in
       let par =
         run
-          (Harness.Run.config ~jobs ~fuel:20_000 ~stream:true
+          (Harness.Run.config ~jobs ~fuel:20_000
              ~segment_steps:(`Steps stride) specs)
       in
       seq = par)

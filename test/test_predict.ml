@@ -72,15 +72,14 @@ let test_two_bit_hysteresis () =
 let test_profile_beats_static_on_workload () =
   let w = Workloads.Registry.find "espresso" in
   let p = Harness.prepare ~fuel:80_000 w in
+  let trace = Recorded.trace p in
   let is_cond = Ilp.Program_info.is_cond_branch p.info in
   let profile_rate =
-    (Predict.Predictor.measure (Harness.profile_predictor p) ~is_cond
-       p.trace)
+    (Predict.Predictor.measure (Harness.profile_predictor p) ~is_cond trace)
       .rate
   in
   let taken_rate =
-    (Predict.Predictor.measure Predict.Predictor.always_taken ~is_cond
-       p.trace)
+    (Predict.Predictor.measure Predict.Predictor.always_taken ~is_cond trace)
       .rate
   in
   Alcotest.(check bool) "profile >= always-taken" true

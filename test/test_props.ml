@@ -204,7 +204,7 @@ let test_perfect_prediction_sp_between () =
           match p.Harness.info.kind.(pc) with
           | Risc.Insn.Computed_jump -> incr count
           | _ -> ())
-        p.trace;
+        (Recorded.trace p);
       !count
     in
     Alcotest.(check int) (name ^ " only cjump mispredicts") cjumps

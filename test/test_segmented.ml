@@ -106,7 +106,8 @@ let test_segmenting_sink_matches_segments () =
   let sink =
     Vm.Trace.segmenting_sink ~steps ~emit:(fun s -> emitted := s :: !emitted)
   in
-  Vm.Trace.feed t sink;
+  Vm.Trace.iter sink.Vm.Trace.on_entry t;
+  sink.on_close ();
   let streamed = Array.of_list (List.rev !emitted) in
   let sliced = Vm.Trace.segments ~steps t in
   Alcotest.(check int) "same segment count" (Array.length sliced)
@@ -196,9 +197,14 @@ let sources =
       {|int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
         int main(void) { return fib(12); }|} ) ]
 
+(* Each program prepared, with the trace its replay analyzes. *)
 let prepared =
   List.map
-    (fun (name, src) -> (name, lazy (Harness.prepare_source ~name src)))
+    (fun (name, src) ->
+      ( name,
+        lazy
+          (let p = Harness.prepare_source ~name src in
+           (p, Recorded.trace p)) ))
     sources
 
 let configs_for (p : Harness.prepared) ~collect ~step_budget =
@@ -208,21 +214,20 @@ let configs_for (p : Harness.prepared) ~collect ~step_budget =
       Ilp.Analyze.config ~collect_segments:collect ?step_budget m predictor)
     Ilp.Machine.all_paper
 
-let check_identical ?pool ~segment_steps ~name (p : Harness.prepared)
-    configs =
+let check_identical ?pool ~segment_steps ~name
+    ((p : Harness.prepared), trace) configs =
   let seq =
-    Ilp.Analyze.run_many ~completeness:p.Harness.completeness configs
-      p.Harness.info p.Harness.trace
+    Ilp.Analyze.run_many ~completeness:p.completeness configs p.info trace
   in
   let seg =
-    Ilp.Segmented.run ?pool ~completeness:p.Harness.completeness
-      ~segment_steps configs p.Harness.info p.Harness.trace
+    Ilp.Segmented.run ?pool ~completeness:p.completeness ~segment_steps
+      configs p.info trace
   in
   Alcotest.(check (list result_t))
     (Printf.sprintf "%s steps=%d" name segment_steps)
     seq seg.Ilp.Segmented.results;
   let expect_segments =
-    (Vm.Trace.length p.Harness.trace + segment_steps - 1) / segment_steps
+    (Vm.Trace.length trace + segment_steps - 1) / segment_steps
   in
   Alcotest.(check int)
     (name ^ " segment count")
@@ -231,34 +236,34 @@ let check_identical ?pool ~segment_steps ~name (p : Harness.prepared)
 let test_identical_strides () =
   List.iter
     (fun (name, lp) ->
-      let p = Lazy.force lp in
+      let ((p, trace) as pt) = Lazy.force lp in
       let configs = configs_for p ~collect:false ~step_budget:None in
       List.iter
         (fun segment_steps ->
-          check_identical ~segment_steps ~name p configs)
-        [ 1; 7; 64; Vm.Trace.length p.Harness.trace + 1 ])
+          check_identical ~segment_steps ~name pt configs)
+        [ 1; 7; 64; Vm.Trace.length trace + 1 ])
     prepared
 
 let test_identical_on_pool () =
   Stdx.Pool.with_pool ~jobs:3 (fun pool ->
       List.iter
         (fun (name, lp) ->
-          let p = Lazy.force lp in
+          let ((p, _) as pt) = Lazy.force lp in
           let configs = configs_for p ~collect:true ~step_budget:None in
-          check_identical ~pool ~segment_steps:50 ~name p configs)
+          check_identical ~pool ~segment_steps:50 ~name pt configs)
         prepared)
 
 let test_identical_step_budget () =
   (* The budget cut must land on the same entry segmented or not, and
      the Truncated tag must carry through the stitchers. *)
   let _, lp = List.hd prepared in
-  let p = Lazy.force lp in
+  let ((p, _) as pt) = Lazy.force lp in
   List.iter
     (fun budget ->
       let configs =
         configs_for p ~collect:false ~step_budget:(Some budget)
       in
-      check_identical ~segment_steps:33 ~name:"budget" p configs)
+      check_identical ~segment_steps:33 ~name:"budget" pt configs)
     [ 1; 17; 400 ]
 
 let test_identical_truncated_execution () =
@@ -269,14 +274,15 @@ let test_identical_truncated_execution () =
       "int main(void) { int i; int s = 0; for (i = 0; i < 1000000; i = i + 1) s = s + i; return s; }"
   in
   let configs = configs_for p ~collect:false ~step_budget:None in
-  check_identical ~segment_steps:999 ~name:"truncated" p configs
+  check_identical ~segment_steps:999 ~name:"truncated"
+    (p, Recorded.trace p) configs
 
 let test_invalid_pc_parity () =
   (* A hand-built trace wandering outside the code segment: the
      sequential analyzer raises at the offending entry; the segmented
      path must defer its decode marker to the same apply step and raise
      the same exception. *)
-  let p = Lazy.force (snd (List.hd prepared)) in
+  let p, _ = Lazy.force (snd (List.hd prepared)) in
   let configs = configs_for p ~collect:false ~step_budget:None in
   let t = Vm.Trace.create () in
   Vm.Trace.push t ~pc:0 ~aux:(-1);
@@ -299,8 +305,7 @@ let test_invalid_pc_parity () =
      Budget 0 trips the guard on the very first entry, so the cut is
      guaranteed to land ahead of the invalid pc. *)
   let capped = configs_for p ~collect:false ~step_budget:(Some 0) in
-  check_identical ~segment_steps:2 ~name:"cut before invalid"
-    { p with trace = t } capped
+  check_identical ~segment_steps:2 ~name:"cut before invalid" (p, t) capped
 
 (* ------------------------------------------------------------------ *)
 (* Harness-level: heterogeneous spec lists (profile + perfect + the
@@ -308,7 +313,7 @@ let test_invalid_pc_parity () =
    Run.on_prepared with segmentation on. *)
 
 let test_harness_mixed_predictors () =
-  let p = Lazy.force (snd (List.nth prepared 2)) in
+  let p, _ = Lazy.force (snd (List.nth prepared 2)) in
   let specs =
     [ Harness.spec Ilp.Machine.sp_cd_mf;
       Harness.spec ~predictor:`Two_bit Ilp.Machine.sp_cd_mf;
@@ -325,7 +330,7 @@ let test_harness_mixed_predictors () =
       Alcotest.(check (list result_t)) "mixed specs identical" seq seg)
 
 let test_harness_auto_resolution () =
-  let p = Lazy.force (snd (List.hd prepared)) in
+  let p, _ = Lazy.force (snd (List.hd prepared)) in
   let specs = [ Harness.spec Ilp.Machine.sp_cd_mf ] in
   let seq = Harness.Run.on_prepared p specs in
   (* `Auto with jobs=1 degrades to the sequential path; with jobs>1 it
@@ -348,13 +353,12 @@ let test_obs_deterministic () =
     run obs;
     (Obs.Span.skeleton (Obs.Ctx.spans obs), Obs.Ctx.snapshot obs)
   in
-  let p = Lazy.force (snd (List.hd prepared)) in
+  let p, trace = Lazy.force (snd (List.hd prepared)) in
   let configs = configs_for p ~collect:false ~step_budget:None in
   let run ?pool obs =
     ignore
       (Ilp.Segmented.run ?pool ~obs ~span_index_base:100 ~workload:"w"
-         ~completeness:p.Harness.completeness ~segment_steps:60 configs
-         p.Harness.info p.Harness.trace)
+         ~completeness:p.completeness ~segment_steps:60 configs p.info trace)
   in
   let sk_seq, snap_seq = skeleton_of (fun obs -> run obs) in
   let sk_par, _ =
@@ -371,9 +375,7 @@ let test_obs_deterministic () =
         | _ -> None)
       snap_seq
   in
-  let expect =
-    (Vm.Trace.length p.Harness.trace + 59) / 60
-  in
+  let expect = (Vm.Trace.length trace + 59) / 60 in
   Alcotest.(check (option int)) "analyze_segments_total" (Some expect)
     segments_total;
   Alcotest.(check bool) "stitch-wait histogram registered" true
@@ -383,7 +385,7 @@ let test_obs_deterministic () =
        snap_seq)
 
 let test_check_hook_propagates () =
-  let p = Lazy.force (snd (List.hd prepared)) in
+  let p, trace = Lazy.force (snd (List.hd prepared)) in
   let configs = configs_for p ~collect:false ~step_budget:None in
   let calls = ref 0 in
   let check () =
@@ -391,8 +393,7 @@ let test_check_hook_propagates () =
     if !calls > 2 then failwith "deadline!"
   in
   match
-    Ilp.Segmented.run ~check ~segment_steps:30 configs p.Harness.info
-      p.Harness.trace
+    Ilp.Segmented.run ~check ~segment_steps:30 configs p.info trace
   with
   | _ -> Alcotest.fail "expected the check hook's exception"
   | exception Failure m -> Alcotest.(check string) "hook exn" "deadline!" m
@@ -411,25 +412,24 @@ let prop_segmented_equals_sequential =
       let machine = Ilp.Machine.random mseed in
       List.for_all
         (fun (_, lp) ->
-          let p = Lazy.force lp in
+          let p, trace = Lazy.force lp in
           let predictor = Harness.profile_predictor p in
           let configs =
             [ Ilp.Analyze.config machine predictor;
               Ilp.Analyze.config Ilp.Machine.sp_cd_mf predictor ]
           in
           let seq =
-            Ilp.Analyze.run_many ~completeness:p.Harness.completeness
-              configs p.Harness.info p.Harness.trace
+            Ilp.Analyze.run_many ~completeness:p.completeness configs p.info
+              trace
           in
           let seg =
             if jobs = 1 then
-              Ilp.Segmented.run ~completeness:p.Harness.completeness
-                ~segment_steps configs p.Harness.info p.Harness.trace
+              Ilp.Segmented.run ~completeness:p.completeness ~segment_steps
+                configs p.info trace
             else
               Stdx.Pool.with_pool ~jobs (fun pool ->
-                  Ilp.Segmented.run ~pool
-                    ~completeness:p.Harness.completeness ~segment_steps
-                    configs p.Harness.info p.Harness.trace)
+                  Ilp.Segmented.run ~pool ~completeness:p.completeness
+                    ~segment_steps configs p.info trace)
           in
           seq = seg.Ilp.Segmented.results)
         prepared)

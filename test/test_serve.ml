@@ -292,9 +292,11 @@ let replace ~sub ~by s =
 
 let normalize_cached s = replace ~sub:{|"cached":true|} ~by:{|"cached":false|} s
 
-let analyze_payload ?fuel ?deadline_ms ?inject ~id ~workload machines =
+let analyze_payload ?fuel ?step_budget ?deadline_ms ?inject ~id ~workload
+    machines =
   Protocol.analyze_request ~id
-    (Protocol.analyze ~workload ~machines ?fuel ?deadline_ms ?inject ())
+    (Protocol.analyze ~workload ~machines ?fuel ?step_budget ?deadline_ms
+       ?inject ())
 
 (* The local one-shot a served reply must match byte for byte. *)
 let local_reply ~id ~fuel ~workload machines =
@@ -392,6 +394,14 @@ let test_serve_typed_errors () =
       expect
         (analyze_payload ~id:1 ~fuel:2_000 ~workload:"awk" [ "sp-cd-mf" ])
         "budget_exceeded" 5;
+      (* a non-positive fuel or step budget is refused, never run *)
+      expect
+        (analyze_payload ~id:1 ~fuel:(-5) ~workload:"awk" [ "sp-cd-mf" ])
+        "invalid_request" 2;
+      expect
+        (analyze_payload ~id:1 ~step_budget:(-2) ~workload:"awk"
+           [ "sp-cd-mf" ])
+        "invalid_request" 2;
       (* malformed JSON is a typed error, and the connection survives *)
       let fd = connect_raw path in
       Fun.protect

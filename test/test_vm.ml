@@ -334,7 +334,7 @@ let test_trace_chunks () =
               ignore (Vm.Trace.aux t i)))
         [ -1; n ];
       let copy = Vm.Trace.create () in
-      Vm.Trace.feed t (Vm.Trace.buffer_sink copy);
+      Vm.Trace.iter (Vm.Trace.buffer_sink copy).on_entry t;
       check_entries (name ^ " fed copy") n copy;
       (* strides that divide the chunk size (1, c/4, c) and that do not *)
       List.iter
