@@ -805,7 +805,7 @@ let percentile sorted p =
   else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
 
 let soak_stat json name =
-  match Option.bind (Serve.Jsonx.member name json) Serve.Jsonx.to_int with
+  match Option.bind (Stdx.Jsonx.member name json) Stdx.Jsonx.to_int with
   | Some v -> v
   | None -> 0
 

@@ -25,17 +25,19 @@ let ( let* ) = Result.bind
 
 let err ?workload stage cause = Error (Pipeline_error.v ?workload stage cause)
 
-let workloads_of_names names =
-  match names with
+module Jsonx = Stdx.Jsonx
+
+(* [f] over [xs] in order, stopping at the first error. *)
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+    let* y = f x in
+    let* ys = map_result f rest in
+    Ok (y :: ys)
+
+let workloads_of_names = function
   | [] -> Ok Workloads.Registry.all
-  | _ ->
-    let rec all acc = function
-      | [] -> Ok (List.rev acc)
-      | n :: rest ->
-        let* w = Workloads.Registry.find_result n in
-        all (w :: acc) rest
-    in
-    all [] names
+  | names -> map_result Workloads.Registry.find_result names
 
 let fault_of_name name =
   match Fault.Injector.kind_of_string name with
@@ -215,13 +217,11 @@ let cmd_run names machine_names no_inline no_unroll fuel step_budget
   in
   let* items = Harness.Run.exec cfg ws in
   let* per_workload =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | it :: rest ->
-        let* results = it.Harness.Run.it_outcome in
-        go ((it.Harness.Run.it_workload, results) :: acc) rest
-    in
-    go [] items
+    map_result
+      (fun (it : Harness.Run.item) ->
+        let* results = it.it_outcome in
+        Ok (it.it_workload, results))
+      items
   in
   let notes = ref [] in
   let rows =
@@ -256,35 +256,31 @@ let cmd_run names machine_names no_inline no_unroll fuel step_budget
 
 let cmd_stats names fuel =
   let* ws = workloads_of_names names in
-  let rec rows acc = function
-    | [] -> Ok (List.rev acc)
-    | w :: rest ->
-      let* p = Harness.prepare_result ?fuel w in
-      let bs = Harness.branch_stats p in
-      let sp =
-        List.hd
-          (Harness.Run.on_prepared p
-             [ Harness.spec ~segments:true Ilp.Machine.sp ])
+  let row w =
+    let* p = Harness.prepare_result ?fuel w in
+    let bs = Harness.branch_stats p in
+    let sp =
+      List.hd
+        (Harness.Run.on_prepared p
+           [ Harness.spec ~segments:true Ilp.Machine.sp ])
+    in
+    let dists = Ilp.Stats.cumulative_distances sp.segments in
+    let under n =
+      let rec last acc = function
+        | [] -> acc
+        | (d, f) :: rest -> if d <= n then last f rest else acc
       in
-      let dists = Ilp.Stats.cumulative_distances sp.segments in
-      let under n =
-        let rec last acc = function
-          | [] -> acc
-          | (d, f) :: rest -> if d <= n then last f rest else acc
-        in
-        100. *. last 0. dists
-      in
-      let row =
-        [ w.Workloads.Registry.name;
-          Printf.sprintf "%.2f" bs.rate;
-          Printf.sprintf "%.1f" bs.instrs_between;
-          string_of_int sp.mispredicts;
-          Printf.sprintf "%.1f" (under 100);
-          Printf.sprintf "%.1f" (under 1000) ]
-      in
-      rows (row :: acc) rest
+      100. *. last 0. dists
+    in
+    Ok
+      [ w.Workloads.Registry.name;
+        Printf.sprintf "%.2f" bs.rate;
+        Printf.sprintf "%.1f" bs.instrs_between;
+        string_of_int sp.mispredicts;
+        Printf.sprintf "%.1f" (under 100);
+        Printf.sprintf "%.1f" (under 1000) ]
   in
-  let* rows = rows [] ws in
+  let* rows = map_result row ws in
   print_string
     (Report.Table.render ~title:"Branch statistics (Table 2 + Figure 6)"
        ~header:
@@ -350,23 +346,6 @@ let cmd_blocks name =
     cfg.loops.loops;
   Ok ()
 
-(* Minimal JSON string for the CLI-level wrappers (the engine renders
-   its own report objects). *)
-let json_str buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let cmd_check names fuel dynamic warnings_too strict disabled fmt trace_out
     metrics prom_out =
   let* ws = workloads_of_names names in
@@ -374,42 +353,31 @@ let cmd_check names fuel dynamic warnings_too strict disabled fmt trace_out
     { Cfg.Engine.default_config with disabled; strict }
   in
   let obs = obs_ctx trace_out metrics prom_out in
-  let failed = ref false in
-  let results =
-    List.map
-      (fun w ->
-        let r = Harness.check ~config ~obs ?fuel ~dynamic w in
-        if r.Harness.c_engine.Cfg.Engine.n_errors > 0 || r.c_dyn_total > 0
-        then failed := true;
-        r)
-      ws
+  let* results =
+    map_result (fun w -> Harness.check ~config ~obs ?fuel ~dynamic w) ws
   in
   (match fmt with
   | `Json ->
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\"workloads\":[";
-    List.iteri
-      (fun i (r : Harness.check_result) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "{\"workload\":";
-        json_str buf r.c_workload;
-        Buffer.add_string buf ",\"report\":";
-        Cfg.Engine.render_json buf r.c_engine;
-        if dynamic then begin
-          Buffer.add_string buf
-            (Printf.sprintf
-               ",\"dynamic\":{\"entries\":%d,\"violations\":%d,\"status\":"
-               r.c_dyn_entries r.c_dyn_total);
-          json_str buf
-            (match r.c_status with
-            | Some s -> Vm.Exec.status_string s
-            | None -> "");
-          Buffer.add_string buf "}"
-        end;
-        Buffer.add_string buf "}")
-      results;
-    Buffer.add_string buf "]}\n";
-    print_string (Buffer.contents buf)
+    let workload (r : Harness.check_result) =
+      let dynamic_fields =
+        if dynamic then
+          [ ("dynamic",
+             Jsonx.Obj
+               [ ("entries", Jsonx.Int r.c_dyn_entries);
+                 ("violations", Jsonx.Int r.c_dyn_total);
+                 ("status",
+                  Jsonx.Str
+                    (Option.fold ~none:"" ~some:Vm.Exec.status_string
+                       r.c_status)) ]) ]
+        else []
+      in
+      Jsonx.Obj
+        (("workload", Jsonx.Str r.c_workload)
+        :: ("report", Cfg.Engine.to_json r.c_engine) :: dynamic_fields)
+    in
+    print_endline
+      (Jsonx.to_string
+         (Jsonx.Obj [ ("workloads", Jsonx.List (List.map workload results)) ]))
   | `Text ->
     List.iter
       (fun (r : Harness.check_result) ->
@@ -437,7 +405,13 @@ let cmd_check names fuel dynamic warnings_too strict disabled fmt trace_out
           r.c_dyn_violations)
       results);
   obs_report ~trace_out ~metrics ~prom_out obs;
-  if !failed then err Report (Failed "verification failed") else Ok ()
+  if
+    List.exists
+      (fun (r : Harness.check_result) ->
+        r.c_engine.Cfg.Engine.n_errors > 0 || r.c_dyn_total > 0)
+      results
+  then err Report (Failed "verification failed")
+  else Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Static parallelism estimates (no execution). *)
@@ -446,60 +420,41 @@ let bound_cell (b : Ilp.Static_bound.t) =
   Ilp.Static_bound.value_to_string b.bound
   ^ match b.limiting with Some l -> " (" ^ l ^ ")" | None -> ""
 
-let estimate_json buf (es : Harness.estimated list) =
-  Buffer.add_string buf "{\"workloads\":[";
-  List.iteri
-    (fun i (e : Harness.estimated) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let est = e.e_est in
-      let d, l, x, u = Cfg.Classify.counts est.Cfg.Estimate.classes in
-      Buffer.add_string buf "{\"workload\":";
-      json_str buf e.e_workload;
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\"branches\":{\"decided\":%d,\"loop_exit\":%d,\"data\":%d,\
-            \"unreachable\":%d},\"max_run\":"
-           d l x u);
-      (match est.Cfg.Estimate.max_run with
-      | Cfg.Estimate.Finite m -> Buffer.add_string buf (string_of_int m)
-      | Cfg.Estimate.Unbounded -> Buffer.add_string buf "null");
-      Buffer.add_string buf ",\"bounds\":[";
-      List.iteri
-        (fun j (b : Ilp.Static_bound.t) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf "{\"spec\":";
-          json_str buf b.spec;
-          Buffer.add_string buf ",\"bound\":";
-          if b.bound = infinity then Buffer.add_string buf "null"
-          else Buffer.add_string buf (Printf.sprintf "%g" b.bound);
-          Buffer.add_string buf ",\"limiting\":";
-          (match b.limiting with
-          | Some l -> json_str buf l
-          | None -> Buffer.add_string buf "null");
-          Buffer.add_string buf "}")
-        e.e_bounds;
-      Buffer.add_string buf "]}")
-    es;
-  Buffer.add_string buf "]}\n"
+let estimate_json (es : Harness.estimated list) =
+  let bound (b : Ilp.Static_bound.t) =
+    Jsonx.Obj
+      [ ("spec", Jsonx.Str b.spec); ("bound", Jsonx.Float b.bound);
+        ("limiting",
+         Option.fold ~none:Jsonx.Null ~some:(fun l -> Jsonx.Str l) b.limiting) ]
+  in
+  let workload (e : Harness.estimated) =
+    let est = e.e_est in
+    let d, l, x, u = Cfg.Classify.counts est.Cfg.Estimate.classes in
+    Jsonx.Obj
+      [ ("workload", Jsonx.Str e.e_workload);
+        ("branches",
+         Jsonx.Obj
+           [ ("decided", Jsonx.Int d); ("loop_exit", Jsonx.Int l);
+             ("data", Jsonx.Int x); ("unreachable", Jsonx.Int u) ]);
+        ("max_run",
+         match est.Cfg.Estimate.max_run with
+         | Cfg.Estimate.Finite m -> Jsonx.Int m
+         | Cfg.Estimate.Unbounded -> Jsonx.Null);
+        ("bounds", Jsonx.List (List.map bound e.e_bounds)) ]
+  in
+  Jsonx.Obj [ ("workloads", Jsonx.List (List.map workload es)) ]
 
 let cmd_estimate names machine_names no_inline no_unroll detail fmt =
   let* ws = workloads_of_names names in
   let* machines = Ilp.Machine.of_specs machine_names in
-  let rec collect acc = function
-    | [] -> Ok (List.rev acc)
-    | w :: rest ->
-      let* e =
-        Harness.estimate ~inline:(not no_inline) ~unroll:(not no_unroll)
-          ~machines w
-      in
-      collect (e :: acc) rest
+  let* es =
+    map_result
+      (Harness.estimate ~inline:(not no_inline) ~unroll:(not no_unroll)
+         ~machines)
+      ws
   in
-  let* es = collect [] ws in
   (match fmt with
-  | `Json ->
-    let buf = Buffer.create 4096 in
-    estimate_json buf es;
-    print_string (Buffer.contents buf)
+  | `Json -> print_endline (Jsonx.to_string (estimate_json es))
   | `Text ->
     let header =
       "Program" :: List.map (fun (m : Ilp.Machine.t) -> m.name) machines
@@ -665,7 +620,6 @@ let cmd_fuzz names seed cases fuel jobs random_machines segments
 (* Analysis as a service: the serve daemon and its client. *)
 
 module Protocol = Serve.Protocol
-module Jsonx = Serve.Jsonx
 
 let parse_host_port s =
   match String.rindex_opt s ':' with

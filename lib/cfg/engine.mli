@@ -95,6 +95,8 @@ val pp_diag : Format.formatter -> diag -> unit
 val render_text : Format.formatter -> report -> unit
 (** Every diagnostic, one per line, plus a summary line. *)
 
-val render_json : Buffer.t -> report -> unit
-(** The report as a JSON object:
-    [{"diagnostics":[...],"errors":n,"warnings":n,"passes":[...]}]. *)
+val to_json : report -> Stdx.Jsonx.t
+(** The report as one JSON value:
+    [{"diagnostics":[...],"errors":n,"warnings":n,"passes":[...]}],
+    each pass with its [ns] and [diagnostics] count.  [ilp-limits check
+    --format json] nests one per workload. *)

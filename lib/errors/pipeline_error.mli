@@ -3,8 +3,9 @@
     Every stage — compile, execute, trace, analyze, report — expresses
     failure as a value of {!t} instead of an exception, so one bad
     workload degrades one result rather than aborting a bench sweep.
-    The type lives below every other library in the dependency order:
-    [Vm], [Ilp], [Workloads] and [Harness] all share the same
+    The type lives below every pipeline library in the dependency
+    order (only [Stdx], whose JSON value {!to_json} builds, sits under
+    it): [Vm], [Ilp], [Workloads] and [Harness] all share the same
     vocabulary, and [bin/ilp_limits] maps it onto distinct process exit
     codes.
 
@@ -119,14 +120,13 @@ val cause_name : t -> string
 (** Stable lower-snake tag of the cause class ("deadline_exceeded",
     "overloaded", ...) — the wire protocol's error discriminator. *)
 
-val to_json : Buffer.t -> t -> unit
-(** Append the error as one JSON object: [cause], [code], [stage],
-    optional [workload], human [message], plus cause-specific structured
-    fields (e.g. [retry_after_ms] for [Overloaded]) so clients never
-    parse the message text. *)
-
-val json_string : Buffer.t -> string -> unit
-(** Append [s] JSON-quoted (shared by the serve protocol renderers). *)
+val to_json : t -> Stdx.Jsonx.t
+(** The error as one JSON object: [cause], [code], [stage], optional
+    [workload], human [message], plus cause-specific structured fields
+    (e.g. [retry_after_ms] for [Overloaded]) so clients never parse the
+    message text.  [Rejected_by_estimate]'s [estimate] and [ceiling]
+    are the whole numbers the message prints ([%.0f], a tie rounding to
+    even); an unbounded estimate is [null]. *)
 
 val suggest : string -> string list -> string option
 (** [suggest name candidates] is the nearest candidate by edit distance

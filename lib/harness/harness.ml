@@ -635,37 +635,36 @@ type check_result = {
 
 let check ?options ?config ?(obs = Obs.Ctx.disabled) ?fuel
     ?(dynamic = false) w =
-  let flat = Workloads.Registry.compile ?options w in
-  let a = Cfg.Analysis.analyze flat in
-  let engine =
-    Cfg.Engine.run ~obs ?config ~workload:w.Workloads.Registry.name
-      Cfg.Verify.passes a
-  in
-  if dynamic then begin
-    let fuel =
-      match fuel with Some f -> f | None -> w.Workloads.Registry.fuel
-    in
-    let d = Cfg.Verify.Dynamic.create a in
-    let outcome =
-      Vm.Exec.run ~fuel ~record:false
-        ~sink:(Cfg.Verify.Dynamic.sink d)
-        ~observe:(Cfg.Verify.Dynamic.observe d) flat
-    in
-    Counters.record_execution ();
-    { c_workload = w.Workloads.Registry.name;
-      c_engine = engine;
-      c_status = Some outcome.status;
-      c_dyn_entries = Cfg.Verify.Dynamic.entries d;
-      c_dyn_total = Cfg.Verify.Dynamic.n_violations d;
-      c_dyn_violations = Cfg.Verify.Dynamic.violations d }
-  end
-  else
-    { c_workload = w.Workloads.Registry.name;
-      c_engine = engine;
-      c_status = None;
-      c_dyn_entries = 0;
-      c_dyn_total = 0;
-      c_dyn_violations = [] }
+  let name = w.Workloads.Registry.name in
+  let* fuel = resolve_fuel w fuel in
+  let* flat = Workloads.Registry.compile_result ?options w in
+  Pipeline_error.guard ~workload:name Analyze (fun () ->
+      let a = Cfg.Analysis.analyze flat in
+      let static =
+        { c_workload = name;
+          c_engine =
+            Cfg.Engine.run ~obs ?config ~workload:name Cfg.Verify.passes a;
+          c_status = None;
+          c_dyn_entries = 0;
+          c_dyn_total = 0;
+          c_dyn_violations = [] }
+      in
+      if not dynamic then Ok static
+      else begin
+        let d = Cfg.Verify.Dynamic.create a in
+        let outcome =
+          Vm.Exec.run ~fuel ~record:false
+            ~sink:(Cfg.Verify.Dynamic.sink d)
+            ~observe:(Cfg.Verify.Dynamic.observe d) flat
+        in
+        Counters.record_execution ();
+        Ok
+          { static with
+            c_status = Some outcome.status;
+            c_dyn_entries = Cfg.Verify.Dynamic.entries d;
+            c_dyn_total = Cfg.Verify.Dynamic.n_violations d;
+            c_dyn_violations = Cfg.Verify.Dynamic.violations d }
+      end)
 
 type estimated = {
   e_workload : string;

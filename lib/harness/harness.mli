@@ -381,14 +381,17 @@ val check :
   ?fuel:int ->
   ?dynamic:bool ->
   Workloads.Registry.t ->
-  check_result
+  (check_result, Pipeline_error.t) result
 (** Compile a workload and run every {!Cfg.Verify.passes} pass through
     {!Cfg.Engine.run} over it ([config] selects passes, severity
     overrides and strict mode; [obs] records per-pass spans and
     metrics).  With [~dynamic:true] the program is also executed (up
     to [fuel] instructions, default the workload's own budget) with
     {!Cfg.Verify.Dynamic} attached as trace sink and observe hook,
-    cross-checking every retired instruction against the static facts. *)
+    cross-checking every retired instruction against the static facts.
+    Total: a fuel below 1 is [Invalid_request] (with or without
+    [dynamic]), a compile failure is [Compile_error], and an escaped
+    exception is [Internal]. *)
 
 (** Static parallelism estimate for one workload: the
     machine-independent facts plus the per-machine compiled bounds. *)

@@ -36,53 +36,35 @@ let tree buf ?(metrics = []) spans =
 
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let int_array a =
-  "[" ^ String.concat "," (List.map string_of_int (Array.to_list a)) ^ "]"
+module Jsonx = Stdx.Jsonx
 
 let jsonl buf ~spans ~metrics =
+  let line fields =
+    Jsonx.to_buffer buf (Jsonx.Obj fields);
+    Buffer.add_char buf '\n'
+  in
+  let ints a = Jsonx.List (List.map (fun i -> Jsonx.Int i) (Array.to_list a)) in
   Array.iter
     (fun (s : Span.span) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"type\":\"span\",\"stage\":\"%s\",\"workload\":\"%s\",\
-            \"machine\":\"%s\",\"depth\":%d,\"start_ns\":%Ld,\
-            \"dur_ns\":%Ld}\n"
-           (json_escape s.sp_stage)
-           (json_escape s.sp_workload)
-           (json_escape s.sp_machine)
-           s.sp_depth s.sp_start_ns (Span.dur_ns s)))
+      line
+        [ ("type", Jsonx.Str "span"); ("stage", Jsonx.Str s.sp_stage);
+          ("workload", Jsonx.Str s.sp_workload);
+          ("machine", Jsonx.Str s.sp_machine); ("depth", Jsonx.Int s.sp_depth);
+          ("start_ns", Jsonx.Int (Int64.to_int s.sp_start_ns));
+          ("dur_ns", Jsonx.Int (Int64.to_int (Span.dur_ns s))) ])
     spans;
   List.iter
     (fun (m : Metrics.snap) ->
-      match m.value with
-      | Metrics.Counter v ->
-        Buffer.add_string buf
-          (Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}\n"
-             (json_escape m.name) v)
-      | Metrics.Gauge v ->
-        Buffer.add_string buf
-          (Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%d}\n"
-             (json_escape m.name) v)
-      | Metrics.Histogram { bounds; counts; sum } ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"type\":\"histogram\",\"name\":\"%s\",\"bounds\":%s,\
-              \"counts\":%s,\"sum\":%d}\n"
-             (json_escape m.name) (int_array bounds) (int_array counts) sum))
+      let name = ("name", Jsonx.Str m.name) in
+      line
+        (match m.value with
+        | Metrics.Counter v ->
+          [ ("type", Jsonx.Str "counter"); name; ("value", Jsonx.Int v) ]
+        | Metrics.Gauge v ->
+          [ ("type", Jsonx.Str "gauge"); name; ("value", Jsonx.Int v) ]
+        | Metrics.Histogram { bounds; counts; sum } ->
+          [ ("type", Jsonx.Str "histogram"); name; ("bounds", ints bounds);
+            ("counts", ints counts); ("sum", Jsonx.Int sum) ]))
     metrics
 
 (* ------------------------------------------------------------------ *)

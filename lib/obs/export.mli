@@ -6,7 +6,9 @@
     - {!tree}: human summary — the span forest indented by depth with
       durations, then the metric values;
     - {!jsonl}: one JSON object per line ([{"type":"span",...}] /
-      [{"type":"counter",...}] / ...), the [--trace-out] file format;
+      [{"type":"counter",...}] / ...), the [--trace-out] file format.
+      Each line is a {!Stdx.Jsonx.t} printed by its printer; the
+      [Int64] nanosecond fields become [Int], exact below 2{^62};
     - {!prometheus}: Prometheus text exposition (TYPE/HELP comments,
       cumulative histogram buckets with [le] labels).
 

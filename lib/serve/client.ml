@@ -44,7 +44,7 @@ let call t payload =
       Error (Printf.sprintf "oversized response (%d bytes)" n)
     | Error (Protocol.Io e) -> Error ("read: " ^ e)
     | Ok body -> (
-      match Jsonx.parse body with
+      match Stdx.Jsonx.parse body with
       | Ok json -> Ok json
       | Error e -> Error ("unparseable response: " ^ e)))
 

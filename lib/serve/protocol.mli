@@ -26,10 +26,13 @@
     v}
 
     Responses are [{"id":N, "ok":true, ...}] or [{"id":N, "ok":false,
-    "error":{...}}] with the error object rendered by
+    "error":{...}}] with the error object the value
     {!Pipeline_error.to_json} — [cause] and [code] are the stable
     discriminators, cause-specific fields ([retry_after_ms], ...) are
-    structured, and clients never parse message text. *)
+    structured, and clients never parse message text.
+
+    Every request and response is built as one {!Stdx.Jsonx.t} and
+    printed by its printer, so all of them share one string escaper. *)
 
 val max_frame : int
 (** Largest accepted payload (1 MiB). *)
@@ -69,11 +72,11 @@ type request =
   | Metrics of int
   | Analyze of int * analyze
 
-val decode_request : Jsonx.t -> (request, string) result
+val decode_request : Stdx.Jsonx.t -> (request, string) result
 (** Shape-check a parsed payload.  The message names the offending
     field; the caller wraps it as a typed [Invalid_request]. *)
 
-val request_id : Jsonx.t -> int option
+val request_id : Stdx.Jsonx.t -> int option
 (** Best-effort id extraction from any payload, so even a
     shape-rejected request gets its id echoed. *)
 
@@ -125,16 +128,17 @@ val ok_metrics : id:int -> body:string -> string
 (** The Prometheus exposition text as one JSON string field. *)
 
 val error_response : id:int option -> Pipeline_error.t -> string
-(** [{"id":N|null,"ok":false,"error":{...}}]. *)
+(** [{"id":N|null,"ok":false,"error":{...}}], the error object being
+    {!Pipeline_error.to_json}. *)
 
 (** {2 Response decoding (client side)} *)
 
 type response = {
   r_id : int option;
   r_ok : bool;
-  r_body : Jsonx.t;  (** the whole response object *)
+  r_body : Stdx.Jsonx.t;  (** the whole response object *)
   r_error_cause : string option;  (** ["error"]["cause"] when not ok *)
   r_retry_after_ms : int option;  (** [Overloaded]'s structured hint *)
 }
 
-val decode_response : Jsonx.t -> response
+val decode_response : Stdx.Jsonx.t -> response

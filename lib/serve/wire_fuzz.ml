@@ -69,7 +69,7 @@ let read_reply ~timeout_ms fd =
     match Protocol.read_frame fd with
     | Error _ -> R_closed
     | Ok body -> (
-      match Jsonx.parse body with
+      match Stdx.Jsonx.parse body with
       | Error _ -> R_error (* never happens: server output is JSON *)
       | Ok json ->
         let r = Protocol.decode_response json in
@@ -132,7 +132,7 @@ let run_case ~timeout_ms ~seed addr kind =
         ignore (send_raw s (frame payload));
         [ read_reply ~timeout_ms s ]
       | `Dup ->
-        let ping = "{\"id\":11,\"op\":\"ping\"}" in
+        let ping = Protocol.ping_request ~id:11 in
         ignore (send_raw s (frame ping));
         ignore (send_raw s (frame ping));
         let a = read_reply ~timeout_ms s in

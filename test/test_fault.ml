@@ -263,7 +263,9 @@ let test_nonpositive_budgets () =
       expect "inject" (fuel f)
         (Harness.inject ~fuel:f ~seed:1 ~kind:Fault.Injector.Fuel_cut w);
       expect "Fuzz.run" (fuel f)
-        (Harness.Fuzz.run ~fuel:f ~workloads:[ w ] ~seed:1 ~cases:1 ()))
+        (Harness.Fuzz.run ~fuel:f ~workloads:[ w ] ~seed:1 ~cases:1 ());
+      expect "check" (fuel f) (Harness.check ~fuel:f w);
+      expect "check dynamic" (fuel f) (Harness.check ~fuel:f ~dynamic:true w))
     [ 0; -5 ];
   List.iter
     (fun b ->

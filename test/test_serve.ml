@@ -1,11 +1,11 @@
-(* The serve daemon, bottom up: the JSON layer is total over arbitrary
-   bytes, the bounded queue sheds rather than grows, the LRU cache
-   evicts by recency, framing survives torn and oversized frames — and
-   end to end, a served reply is byte-identical to the local one-shot
+(* The serve daemon, bottom up: the bounded queue sheds rather than
+   grows, the LRU cache evicts by recency, framing survives torn and
+   oversized frames, every error cause renders pinned bytes — and end to
+   end, a served reply is byte-identical to the local one-shot
    that would have produced it, typed errors answer every refusal, and
    concurrent faulty requests never perturb healthy ones. *)
 
-module Jsonx = Serve.Jsonx
+module Jsonx = Stdx.Jsonx
 module Protocol = Serve.Protocol
 module Rqueue = Serve.Rqueue
 module Cache = Serve.Cache
@@ -18,53 +18,6 @@ let fail = Alcotest.fail
 let bool = Alcotest.bool
 let int = Alcotest.int
 let string = Alcotest.string
-
-(* ------------------------------------------------------------------ *)
-(* Jsonx: total parse, deterministic print. *)
-
-let test_jsonx_roundtrip () =
-  let src = {|{"a":1,"b":[true,null,"x\ny"],"c":{"d":2.5},"e":-7}|} in
-  match Jsonx.parse src with
-  | Error e -> fail e
-  | Ok v -> (
-    check bool "int member" true (Jsonx.(member "a" v |> Option.get |> to_int) = Some 1);
-    check bool "nested float" true
-      (Jsonx.(member "c" v |> Option.get |> member "d" |> Option.get |> to_float)
-      = Some 2.5);
-    (match Jsonx.(member "b" v |> Option.get |> to_list) with
-    | Some [ b; n; s ] ->
-      check bool "bool" true (Jsonx.to_bool b = Some true);
-      check bool "null is not a string" true (Jsonx.to_str n = None);
-      check bool "escaped string" true (Jsonx.to_str s = Some "x\ny")
-    | _ -> fail "list shape");
-    (* print → parse is the identity *)
-    match Jsonx.parse (Jsonx.to_string v) with
-    | Ok v2 -> check bool "print/parse identity" true (v = v2)
-    | Error e -> fail e)
-
-let test_jsonx_rejects () =
-  let bad s =
-    match Jsonx.parse s with
-    | Ok _ -> fail (Printf.sprintf "accepted %S" s)
-    | Error _ -> ()
-  in
-  bad "{\"a\":1} x";              (* trailing bytes *)
-  bad "\"\xff\xfe\"";             (* invalid UTF-8 in a string *)
-  bad "{\"a\":";                  (* truncated *)
-  bad "[1,]";                     (* dangling comma *)
-  bad "\"\\ud800\"";              (* lone surrogate *)
-  bad (String.make 70 '[');       (* past the nesting limit *)
-  (* ... but 40 levels are fine *)
-  match Jsonx.parse (String.make 40 '[' ^ String.make 40 ']') with
-  | Ok _ -> ()
-  | Error e -> fail e
-
-let test_jsonx_nonfinite_floats () =
-  check string "nan prints null" "null" (Jsonx.to_string (Jsonx.Float nan));
-  check string "inf prints null" "null"
-    (Jsonx.to_string (Jsonx.Float infinity));
-  check string "finite float survives" "2.5"
-    (Jsonx.to_string (Jsonx.Float 2.5))
 
 (* ------------------------------------------------------------------ *)
 (* Rqueue: bounded, FIFO, shed-on-full, drain-on-close. *)
@@ -220,6 +173,90 @@ let test_response_decode () =
     check bool "not ok" false r.Protocol.r_ok;
     check bool "cause" true (r.Protocol.r_error_cause = Some "overloaded");
     check bool "retry hint" true (r.Protocol.r_retry_after_ms = Some 25)
+
+(* One reply per cause, pinned byte for byte: the id (or null), the
+   optional workload, the escaped message and each structured field.
+   [estimate] and [ceiling] print as the message's [%.0f] does, a tie
+   rounding to even (2.5 -> 2, 12.5 -> 12, 13.5 -> 14). *)
+let test_error_replies_pinned () =
+  let rows =
+    Pipeline_error.
+      [ ( Some 1,
+          v ~workload:"akw" Lookup
+            (Unknown_workload { name = "akw"; hint = Some "awk" }),
+          {|{"id":1,"ok":false,"error":{"cause":"unknown_workload","code":2,"stage":"lookup","workload":"akw","message":"[lookup/akw] unknown workload \"akw\" (did you mean \"awk\"?); try the 'list' command"}}|}
+        );
+        ( None,
+          v Lookup (Unknown_machine { name = "sp-cd-mg"; hint = None }),
+          {|{"id":null,"ok":false,"error":{"cause":"unknown_machine","code":2,"stage":"lookup","message":"[lookup] unknown machine \"sp-cd-mg\""}}|}
+        );
+        ( Some 3,
+          v Lookup
+            (Invalid_machine_spec
+               { spec = "sp,window=x"; msg = "window needs an integer" }),
+          {|{"id":3,"ok":false,"error":{"cause":"invalid_machine_spec","code":2,"stage":"lookup","message":"[lookup] invalid machine spec \"sp,window=x\": window needs an integer"}}|}
+        );
+        ( Some 4,
+          v ~workload:"gcc" Lookup
+            (Unknown_fault { name = "bitflip"; hint = Some "bit-flip" }),
+          {|{"id":4,"ok":false,"error":{"cause":"unknown_fault","code":2,"stage":"lookup","workload":"gcc","message":"[lookup/gcc] unknown fault kind \"bitflip\" (did you mean \"bit-flip\"?)"}}|}
+        );
+        ( Some 5,
+          v ~workload:"adhoc" Compile
+            (Compile_error
+               "line 1:\tunexpected '+'\r\nnext\x01byte \"q\" \\ end"),
+          {|{"id":5,"ok":false,"error":{"cause":"compile_error","code":3,"stage":"compile","workload":"adhoc","message":"[compile/adhoc] compile error: line 1:\tunexpected '+'\r\nnext\u0001byte \"q\" \\ end"}}|}
+        );
+        ( Some 6,
+          v ~workload:"awk" Execute
+            (Vm_fault (fault ~pc:17 ~detail:"r3 = 0" ~step:42 Div_by_zero)),
+          {|{"id":6,"ok":false,"error":{"cause":"vm_fault","code":4,"stage":"execute","workload":"awk","message":"[execute/awk] VM fault: div_by_zero at pc 17 after 42 steps (r3 = 0)","fault_kind":"div_by_zero","pc":17,"step":42}}|}
+        );
+        ( Some 7,
+          v Execute
+            (Budget_exceeded { what = "fuel"; limit = 1000; requested = 5000 }),
+          {|{"id":7,"ok":false,"error":{"cause":"budget_exceeded","code":5,"stage":"execute","message":"[execute] fuel budget exceeded: requested 5000, cap 1000","what":"fuel","limit":1000,"requested":5000}}|}
+        );
+        ( Some 8,
+          v Execute (Invalid_request "fuel must be at least 1 (got -5)"),
+          {|{"id":8,"ok":false,"error":{"cause":"invalid_request","code":2,"stage":"execute","message":"[execute] invalid request: fuel must be at least 1 (got -5)"}}|}
+        );
+        ( Some 9,
+          v ~workload:"gcc" Execute
+            (Deadline_exceeded { budget_ms = 1; elapsed_ms = 3 }),
+          {|{"id":9,"ok":false,"error":{"cause":"deadline_exceeded","code":6,"stage":"execute","workload":"gcc","message":"[execute/gcc] deadline exceeded: 1 ms budget, 3 ms elapsed","budget_ms":1,"elapsed_ms":3}}|}
+        );
+        ( Some 10,
+          v ~workload:"awk" Execute
+            (Overloaded { depth = 3; limit = 4; retry_after_ms = 25 }),
+          {|{"id":10,"ok":false,"error":{"cause":"overloaded","code":7,"stage":"execute","workload":"awk","message":"[execute/awk] overloaded: request queue full (3/4); retry after 25 ms","depth":3,"limit":4,"retry_after_ms":25}}|}
+        );
+        ( Some 11,
+          v ~workload:"gcc" Analyze
+            (Rejected_by_estimate
+               { spec = "oracle"; estimate = infinity; ceiling = 2.5 }),
+          {|{"id":11,"ok":false,"error":{"cause":"rejected_by_estimate","code":8,"stage":"analyze","workload":"gcc","message":"[analyze/gcc] rejected by static estimate: oracle estimated work unbounded exceeds ceiling 2","spec":"oracle","estimate":null,"ceiling":2}}|}
+        );
+        ( Some 12,
+          v ~workload:"gcc" Analyze
+            (Rejected_by_estimate
+               { spec = "sp-cd-mf"; estimate = 12.5; ceiling = 13.5 }),
+          {|{"id":12,"ok":false,"error":{"cause":"rejected_by_estimate","code":8,"stage":"analyze","workload":"gcc","message":"[analyze/gcc] rejected by static estimate: sp-cd-mf estimated work 12 exceeds ceiling 14","spec":"sp-cd-mf","estimate":12,"ceiling":14}}|}
+        );
+        ( Some 13,
+          v Report (Failed "verification failed"),
+          {|{"id":13,"ok":false,"error":{"cause":"failed","code":1,"stage":"report","message":"[report] verification failed"}}|}
+        );
+        ( Some 14,
+          v ~workload:"awk" Analyze (Internal "Not_found"),
+          {|{"id":14,"ok":false,"error":{"cause":"internal","code":1,"stage":"analyze","workload":"awk","message":"[analyze/awk] internal error (escaped exception): Not_found"}}|}
+        ) ]
+  in
+  List.iter
+    (fun (id, err, want) ->
+      check string (Pipeline_error.cause_name err) want
+        (Protocol.error_response ~id err))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end server tests: raw connections, so responses can be
@@ -662,13 +699,7 @@ let test_run_deadline () =
   | Ok _ -> fail "one workload, one item"
 
 let suite =
-  [ Alcotest.test_case "jsonx: parse/print round trip" `Quick
-      test_jsonx_roundtrip;
-    Alcotest.test_case "jsonx: malformed inputs rejected" `Quick
-      test_jsonx_rejects;
-    Alcotest.test_case "jsonx: non-finite floats print null" `Quick
-      test_jsonx_nonfinite_floats;
-    Alcotest.test_case "rqueue: sheds when full, FIFO" `Quick
+  [ Alcotest.test_case "rqueue: sheds when full, FIFO" `Quick
       test_rqueue_shed;
     Alcotest.test_case "rqueue: close drains, refuses pushes" `Quick
       test_rqueue_close_drains;
@@ -686,6 +717,8 @@ let suite =
       test_request_decode;
     Alcotest.test_case "protocol: response decode carries the hint" `Quick
       test_response_decode;
+    Alcotest.test_case "protocol: error replies pinned per cause" `Quick
+      test_error_replies_pinned;
     Alcotest.test_case "serve: ping/stats, duplicate ids refused" `Quick
       test_serve_ping_and_stats;
     Alcotest.test_case "serve: reply == one-shot, cache flagged" `Slow

@@ -120,6 +120,123 @@ let test_cumulative () =
   Alcotest.(check (list (pair int (float 1e-9)))) "empty" []
     (Stdx.Stats.cumulative [])
 
+(* --- Jsonx: total parse, deterministic print ------------------------- *)
+
+module Jsonx = Stdx.Jsonx
+
+let check = Alcotest.check
+let fail = Alcotest.fail
+let bool = Alcotest.bool
+let string = Alcotest.string
+
+let test_jsonx_roundtrip () =
+  let src = {|{"a":1,"b":[true,null,"x\ny"],"c":{"d":2.5},"e":-7}|} in
+  match Jsonx.parse src with
+  | Error e -> fail e
+  | Ok v -> (
+    check bool "int member" true (Jsonx.(member "a" v |> Option.get |> to_int) = Some 1);
+    check bool "nested float" true
+      (Jsonx.(member "c" v |> Option.get |> member "d" |> Option.get |> to_float)
+      = Some 2.5);
+    (match Jsonx.(member "b" v |> Option.get |> to_list) with
+    | Some [ b; n; s ] ->
+      check bool "bool" true (Jsonx.to_bool b = Some true);
+      check bool "null is not a string" true (Jsonx.to_str n = None);
+      check bool "escaped string" true (Jsonx.to_str s = Some "x\ny")
+    | _ -> fail "list shape");
+    (* print → parse is the identity *)
+    match Jsonx.parse (Jsonx.to_string v) with
+    | Ok v2 -> check bool "print/parse identity" true (v = v2)
+    | Error e -> fail e)
+
+let test_jsonx_rejects () =
+  let bad s =
+    match Jsonx.parse s with
+    | Ok _ -> fail (Printf.sprintf "accepted %S" s)
+    | Error _ -> ()
+  in
+  bad "{\"a\":1} x";              (* trailing bytes *)
+  bad "\"\xff\xfe\"";             (* invalid UTF-8 in a string *)
+  bad "{\"a\":";                  (* truncated *)
+  bad "[1,]";                     (* dangling comma *)
+  bad "\"\\ud800\"";              (* lone surrogate *)
+  bad (String.make 70 '[');       (* past the nesting limit *)
+  (* ... but 40 levels are fine *)
+  match Jsonx.parse (String.make 40 '[' ^ String.make 40 ']') with
+  | Ok _ -> ()
+  | Error e -> fail e
+
+let test_jsonx_nonfinite_floats () =
+  check string "nan prints null" "null" (Jsonx.to_string (Jsonx.Float nan));
+  check string "inf prints null" "null"
+    (Jsonx.to_string (Jsonx.Float infinity));
+  check string "finite float survives" "2.5"
+    (Jsonx.to_string (Jsonx.Float 2.5))
+
+(* Random values without [Float]: strings mix printable ASCII, every
+   control byte, the quote, the backslash, DEL and valid 2-, 3- and
+   4-byte UTF-8; ints reach both ends of the range; object keys come
+   from a small pool so fields repeat; and up to 58 wrapping lists take
+   the nesting near, never past, the parser's limit of 64. *)
+let gen_json =
+  let open QCheck.Gen in
+  let code_point lo hi =
+    map
+      (fun cp ->
+        let b = Buffer.create 4 in
+        Buffer.add_utf_8_uchar b (Uchar.of_int cp);
+        Buffer.contents b)
+      (int_range lo hi)
+  in
+  let piece =
+    oneof
+      [ map (String.make 1) (char_range ' ' '~');
+        map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f);
+        oneofl [ "\""; "\\"; "\x7f" ];
+        code_point 0x80 0x7ff;
+        code_point 0x800 0xd7ff;
+        code_point 0xe000 0xffff;
+        code_point 0x10000 0x10ffff ]
+  in
+  let str = map (String.concat "") (list_size (int_range 0 8) piece) in
+  let key = oneof [ oneofl [ "a"; "b"; "" ]; str ] in
+  let leaf =
+    oneof
+      [ pure Jsonx.Null;
+        map (fun b -> Jsonx.Bool b) bool;
+        map (fun i -> Jsonx.Int i)
+          (oneof [ int; oneofl [ min_int; max_int; 0 ] ]);
+        map (fun s -> Jsonx.Str s) str ]
+  in
+  let value =
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (2, leaf);
+              ( 1,
+                map (fun l -> Jsonx.List l)
+                  (list_size (int_range 0 4) (self (depth - 1))) );
+              ( 1,
+                map (fun f -> Jsonx.Obj f)
+                  (list_size (int_range 0 4) (pair key (self (depth - 1)))) )
+            ])
+      6
+  in
+  map2
+    (fun wraps v ->
+      let rec wrap n v = if n = 0 then v else wrap (n - 1) (Jsonx.List [ v ]) in
+      wrap wraps v)
+    (oneof [ pure 0; int_range 0 58 ])
+    value
+
+let test_jsonx_roundtrip_prop =
+  QCheck.Test.make ~name:"jsonx: parse (to_string v) = Ok v without floats"
+    ~count:500
+    (QCheck.make ~print:Jsonx.to_string gen_json)
+    (fun v -> Jsonx.parse (Jsonx.to_string v) = Ok v)
+
 let suite =
   [ Alcotest.test_case "vec basic" `Quick test_vec_basic;
     Alcotest.test_case "vec pop" `Quick test_vec_pop;
@@ -131,4 +248,11 @@ let suite =
     Alcotest.test_case "means" `Quick test_means;
     QCheck_alcotest.to_alcotest test_mean_inequality;
     Alcotest.test_case "percentile" `Quick test_percentile;
-    Alcotest.test_case "cumulative" `Quick test_cumulative ]
+    Alcotest.test_case "cumulative" `Quick test_cumulative;
+    Alcotest.test_case "jsonx: parse/print round trip" `Quick
+      test_jsonx_roundtrip;
+    Alcotest.test_case "jsonx: malformed inputs rejected" `Quick
+      test_jsonx_rejects;
+    Alcotest.test_case "jsonx: non-finite floats print null" `Quick
+      test_jsonx_nonfinite_floats;
+    QCheck_alcotest.to_alcotest test_jsonx_roundtrip_prop ]

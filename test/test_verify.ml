@@ -149,10 +149,12 @@ let test_random_programs_verify_clean =
 let test_workloads_verify_clean () =
   List.iter
     (fun (w : Workloads.Registry.t) ->
-      let res = Harness.check w in
-      Alcotest.(check int)
-        (w.name ^ " verifies without errors")
-        0 res.c_engine.n_errors)
+      match Harness.check w with
+      | Ok res ->
+        Alcotest.(check int)
+          (w.name ^ " verifies without errors")
+          0 res.c_engine.n_errors
+      | Error e -> Alcotest.fail (Pipeline_error.to_string e))
     Workloads.Registry.all
 
 (* --- dynamic cross-validation --------------------------------------- *)
