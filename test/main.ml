@@ -14,6 +14,7 @@ let () =
       ("engine", Test_engine.suite);
       ("predict", Test_predict.suite);
       ("analyze", Test_analyze.suite);
+      ("reference", Test_ref.suite);
       ("machine", Test_machine.suite);
       ("pipeline", Test_pipeline.suite);
       ("segmented", Test_segmented.suite);
