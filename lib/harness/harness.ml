@@ -80,6 +80,14 @@ let resolve_fuel w fuel =
   let* () = check_fuel fuel in
   Ok (Option.value fuel ~default:w.Workloads.Registry.fuel)
 
+(* The raising entry points refuse the same fuel, as [Invalid_argument]
+   carrying the typed error's message. *)
+let resolve_fuel_exn w fuel =
+  match resolve_fuel w fuel with
+  | Ok f -> f
+  | Error { Pipeline_error.cause = Invalid_request msg; _ } -> invalid_arg msg
+  | Error e -> invalid_arg (Pipeline_error.to_string e)
+
 type prepared = {
   workload : Workloads.Registry.t;
   flat : Asm.Program.flat;
@@ -168,9 +176,7 @@ let prepare_flat ?mem_words ?(probe = Obs.Probe.vm_disabled)
 let prepare ?options ?mem_words ?fuel ?(obs = Obs.Ctx.disabled)
     ?(span_buf = Obs.Span.disabled) ?train_values w =
   let name = w.Workloads.Registry.name in
-  let fuel =
-    match fuel with Some f -> f | None -> w.Workloads.Registry.fuel
-  in
+  let fuel = resolve_fuel_exn w fuel in
   let flat =
     Obs.Span.with_span span_buf ~workload:name "compile" (fun () ->
         Workloads.Registry.compile ?options w)
@@ -205,7 +211,7 @@ let prepare_source ?(fuel = 10_000_000) ?train_values ~name source =
     { Workloads.Registry.name; description = "ad hoc source"; lang = "C";
       numeric = false; source; fuel; expected_result = None }
   in
-  prepare ?train_values w
+  prepare ~fuel ?train_values w
 
 let profile_predictor p = Predict.Predictor.Profile.predictor p.profile
 

@@ -107,7 +107,9 @@ val prepare :
     on the way; no trace is recorded.  A fault or fuel exhaustion does
     {e not} raise: [status]/[completeness] record what happened, and
     the replay analyzes the same prefix.  Compile errors still raise
-    (use {!prepare_result} for the typed-error path).  [obs] supplies
+    (use {!prepare_result} for the typed-error path), and so does
+    [fuel < 1]: [Invalid_argument] with {!prepare_result}'s message,
+    ["fuel must be at least 1 (got N)"].  [obs] supplies
     the VM probe; [span_buf] receives ["compile"] and ["execute"]
     spans.
 
@@ -141,7 +143,8 @@ val prepare_result :
 
 val prepare_source :
   ?fuel:int -> ?train_values:bool -> name:string -> string -> prepared
-(** Same for an arbitrary Mini-C source string. *)
+(** Same for an arbitrary Mini-C source string (default fuel 10M;
+    [fuel < 1] raises as in {!prepare}). *)
 
 val profile_predictor : prepared -> Predict.Predictor.t
 (** The paper's predictor: profile statistics from this same trace

@@ -46,7 +46,8 @@
     trace pass ({!run_many}) or directly over a live VM execution
     ({!sink_many}), a chunk of {!Vm.Trace.chunk_size} entries at a
     time: each group of {!compatible} configs classifies the chunk once,
-    then each of its states applies the whole chunk. *)
+    then one state per group applies it to all the group's machines in
+    lockstep, entry by entry. *)
 
 type config = {
   machine : Machine.t;
@@ -139,29 +140,46 @@ type result = {
       the prefix they cover. *)
 }
 
-(** Incremental per-machine analysis state: the apply half of the
-    analysis.  Stateful predictors (e.g. the 2-bit counter) must not be
-    shared between states: give each config its own instance. *)
+(** Incremental analysis state of one decode group: the apply half of
+    the analysis.  One state advances every machine of the group per
+    trace entry; the machines share the entry's classification, the
+    block-sequence and frame-stack upkeep, the static-table lookups and
+    the choice of control-dependence branch, and keep only their own
+    times and knobs.  A stateful predictor (e.g. the 2-bit counter)
+    must not be shared: its config is a group of its own. *)
 module State : sig
   type t
 
+  val group : config list -> Program_info.t -> t
+  (** A state for every machine of a decode group, in list order.
+      Raises [Invalid_argument] on an empty list, or on several configs
+      that are not {!compatible}. *)
+
   val create : config -> Program_info.t -> t
+  (** [create cfg info] is [group [cfg] info]. *)
 
   val step_bits : t -> pc:int -> aux:int -> bits:int -> unit
-  (** Consume one trace entry whose classification [bits] was computed
-      by the {!decoder} of a config {!compatible} with this state's (or,
-      for a stateful predictor, by this config's own decoder, in trace
-      order).  Entries must arrive in trace order; entries past the
-      config's [step_budget] are dropped.  This is the one per-entry
-      transition: {!run_many}, {!sink_many} and segmented analysis all
-      apply entries through it. *)
+  (** Consume one trace entry, on every machine of the group, whose
+      classification [bits] was computed by the {!decoder} of a config
+      {!compatible} with the group's (or, for a stateful predictor, by
+      this config's own decoder, in trace order).  Entries must arrive
+      in trace order; each machine drops the entries past its config's
+      [step_budget].  This is the one per-entry transition:
+      {!run_many}, {!sink_many} and segmented analysis all apply
+      entries through it. *)
+
+  val finish_group :
+    ?completeness:Pipeline_error.completeness -> t -> result list
+  (** Close the analysis (flushing each machine's trailing
+      inter-misprediction segment) and report, in group order.  Call
+      once, after the last [step_bits].  [completeness] (default
+      [Complete]) describes how the {e execution} that produced the
+      trace ended; a machine's own step-budget cut takes precedence
+      over it. *)
 
   val finish : ?completeness:Pipeline_error.completeness -> t -> result
-  (** Close the analysis (flushing a trailing inter-misprediction
-      segment) and report.  Call once, after the last [step_bits].
-      [completeness] (default [Complete]) describes how the {e
-      execution} that produced the trace ended; a step-budget cut
-      recorded by this state takes precedence over it. *)
+  (** {!finish_group} of a one-config state.  Raises [Invalid_argument]
+      on a group of several. *)
 end
 
 val run :
@@ -171,14 +189,13 @@ val run :
 val run_many :
   ?completeness:Pipeline_error.completeness ->
   config list -> Program_info.t -> Vm.Trace.t -> result list
-(** Advance one state per config over a {e single} pass of the trace;
-    results are in config order.  The pass walks the trace's chunks in
-    place: per chunk, each {!decode_groups} group classifies it once,
-    then each of the group's states applies the whole chunk before the
-    next state starts.  States are not interleaved entry by entry, but
-    each sees its own entries in trace order, so the results equal
-    mapping {!run} over the configs.  [completeness] tags every result
-    with how the traced execution ended. *)
+(** Advance every config over a {e single} pass of the trace; results
+    are in config order.  The pass walks the trace's chunks in place:
+    per chunk, each {!decode_groups} group classifies it once, then the
+    group's one {!State.t} applies the whole chunk to all its machines.
+    Each machine sees its own entries in trace order, so the results
+    equal mapping {!run} over the configs.  [completeness] tags every
+    result with how the traced execution ended. *)
 
 val sink_many :
   config list -> Program_info.t ->

@@ -5,8 +5,8 @@
    classification (Analyze.decoder: static flags + predicted branch
    direction, pure in (pc, aux) for stateless predictors) and a
    state-carrying apply (Analyze.State.step_bits).  Segmented mode
-   decodes whole segments on pool domains and then, per machine
-   config, applies the decoded entries in strict trace order — the
+   decodes whole segments on pool domains and then, per sub-group of
+   the configs, applies the decoded entries in strict trace order — the
    apply sequence is literally the sequential run's sequence, so
    bit-identity with the sequential pass holds by construction, for
    every constraint in the machine lattice (window, flows, fetch,
@@ -14,9 +14,10 @@
 
    Parallelism comes from two places: segment decodes run concurrently
    with each other (and, in streaming mode, with VM retirement), and
-   the per-config stitchers fan out across domains — the dominant win
-   for the standard multi-machine sweeps, where seven states replay
-   the same decoded stream. *)
+   the sub-group stitchers run across domains.  Each stitcher is one
+   lockstep group state advancing its machines together; the partition
+   depends on the number of configs alone (4 + 3 for the paper seven),
+   never on the pool. *)
 
 type outcome = {
   results : Analyze.result list;
@@ -138,20 +139,35 @@ let push t seg =
 
 let sink_of t = Vm.Trace.segmenting_sink ~steps:t.steps ~emit:(push t)
 
-(* Replay every decoded segment, in index order, through one config's
-   state.  This is the sequential analysis loop verbatim — only the
-   classification was precomputed. *)
-let stitch_one t slots ?completeness ci =
+(* The stitch partition: the configs' positions cut into contiguous
+   sub-groups of at most four, as even as possible — 7 is 4 + 3, 8 is
+   4 + 4, 9 is 3 + 3 + 3.  Fixed by the count alone, so results, span
+   skeleton and task count are the same at every pool width; two or
+   more sub-groups keep a two-domain pool stitching on both domains,
+   while each still shares one state's per-entry work. *)
+let subgroups n =
+  let k = (n + 3) / 4 in
+  List.init k (fun j ->
+      let lo = j * n / k and hi = (j + 1) * n / k in
+      List.init (hi - lo) (fun i -> lo + i))
+
+(* Replay every decoded segment, in index order, through one lockstep
+   state for sub-group [j] ([positions]).  This is the sequential
+   analysis loop verbatim — only the classification was precomputed. *)
+let stitch_group t slots ?completeness (j, positions) =
   t.check ();
-  let cfg = t.configs.(ci) in
-  let st = Analyze.State.create cfg t.info in
+  let cfgs = List.map (Array.get t.configs) positions in
+  let st = Analyze.State.group cfgs t.info in
   let buf =
     Obs.Ctx.task_buffer t.obs
-      ~index:(t.span_base + t.n_segments + ci)
-      ~label:(Printf.sprintf "%s/stitch-%d" t.workload ci)
+      ~index:(t.span_base + t.n_segments + j)
+      ~label:(Printf.sprintf "%s/stitch-%d" t.workload j)
   in
   Obs.Span.with_span buf ~workload:t.workload
-    ~machine:cfg.Analyze.machine.Machine.name "segment-stitch" (fun () ->
+    ~machine:
+      (String.concat "+"
+         (List.map (fun (c : Analyze.config) -> c.machine.Machine.name) cfgs))
+    "segment-stitch" (fun () ->
       Array.iter
         (fun slot ->
           t.check ();
@@ -183,22 +199,24 @@ let stitch_one t slots ?completeness ci =
               ~bits:(Array.unsafe_get bits i)
           done)
         slots;
-      Analyze.State.finish ?completeness st)
+      Analyze.State.finish_group ?completeness st)
 
 let finish t ?completeness () =
   let slots = Array.of_list (List.rev t.slots) in
-  let n = Array.length t.configs in
-  let indices = Array.init n Fun.id in
+  let groups =
+    Array.of_list
+      (List.mapi (fun j g -> (j, g)) (subgroups (Array.length t.configs)))
+  in
   let results =
     match t.pool with
-    | Some pool when n > 1 ->
-      (* Per-config stitchers fan out across domains; each awaits the
+    | Some pool when Array.length groups > 1 ->
+      (* Sub-group stitchers fan out across domains; each awaits the
          shared decode futures as it reaches them (helping with queued
          decodes while it waits, so narrow pools cannot deadlock). *)
-      Stdx.Pool.map_array pool (stitch_one t slots ?completeness) indices
-    | _ -> Array.map (stitch_one t slots ?completeness) indices
+      Stdx.Pool.map_array pool (stitch_group t slots ?completeness) groups
+    | _ -> Array.map (stitch_group t slots ?completeness) groups
   in
-  { results = Array.to_list results;
+  { results = List.concat (Array.to_list results);
     segments = t.n_segments;
     steps = t.steps }
 

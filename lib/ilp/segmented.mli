@@ -7,15 +7,17 @@
     predictors) and the state-carrying apply
     ({!Analyze.State.step_bits}).  This module decodes segments of the
     trace on {!Stdx.Pool} domains — concurrently with each other and,
-    in streaming mode, with VM retirement — then {e stitches}: per
-    machine config, the decoded entries are applied in strict trace
-    order, segment by segment in index order.  The apply sequence is
-    the sequential run's sequence verbatim, so every result is
-    bit-identical to {!Analyze.run_many}, for every machine in the
-    lattice, including step-budget cuts and truncated traces.  Multi-
-    config calls additionally fan the per-config stitchers out across
-    the pool — the dominant speedup for the standard seven-machine
-    sweep over a single workload.
+    in streaming mode, with VM retirement — then {e stitches}: the
+    configs are cut into sub-groups of at most four ({!subgroups}), and
+    each sub-group's one lockstep {!Analyze.State.t} applies the decoded
+    entries to all its machines in strict trace order, segment by
+    segment in index order.  The apply sequence is the sequential run's
+    sequence verbatim, so every result is bit-identical to
+    {!Analyze.run_many}, for every machine in the lattice, including
+    step-budget cuts and truncated traces.  With a pool, the sub-group
+    stitchers run across its domains.  The partition depends on the
+    config count alone, so the span skeleton and the results do not
+    depend on the pool's width.
 
     Memory: decoded segments are retained until every stitcher has
     consumed them — roughly 24 bytes per trace entry (pc, aux, bits).
@@ -28,6 +30,11 @@ type outcome = {
   segments : int;  (** segments decoded *)
   steps : int;  (** segment stride used *)
 }
+
+val subgroups : int -> int list list
+(** [subgroups n]: the stitch partition of [n] configs' positions into
+    contiguous sub-groups of at most four, as even as possible ([7] is
+    [[0;1;2;3]; [4;5;6]]). *)
 
 val auto_steps : trace_len:int -> jobs:int -> int
 (** Static granularity choice for [--segment-steps auto]:
@@ -55,8 +62,8 @@ val run :
     [check] is called per segment on every domain touching one — the
     deadline hook; an exception it raises propagates to the caller.
     [obs] (default disabled) records per-segment decode spans and
-    per-config stitch spans into buffers indexed
-    [span_index_base + segment]/[span_index_base + segments + config]
+    per-sub-group stitch spans into buffers indexed
+    [span_index_base + segment]/[span_index_base + segments + sub-group]
     — merged by index, so jobs=N telemetry structure equals
     sequential — plus the [analyze_segments_total] counter and the
     stitch-wait histogram.  Raises [Invalid_argument] if

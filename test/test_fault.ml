@@ -265,7 +265,19 @@ let test_nonpositive_budgets () =
       expect "Fuzz.run" (fuel f)
         (Harness.Fuzz.run ~fuel:f ~workloads:[ w ] ~seed:1 ~cases:1 ());
       expect "check" (fuel f) (Harness.check ~fuel:f w);
-      expect "check dynamic" (fuel f) (Harness.check ~fuel:f ~dynamic:true w))
+      expect "check dynamic" (fuel f) (Harness.check ~fuel:f ~dynamic:true w);
+      (* The raising entry points refuse it too, with the same message,
+         instead of replaying a zero-step execution. *)
+      let raises what run =
+        match run () with
+        | (_ : Harness.prepared) -> Alcotest.fail (what ^ ": accepted")
+        | exception Invalid_argument msg ->
+          Alcotest.(check string) what (fuel f) msg
+      in
+      raises "prepare" (fun () -> Harness.prepare ~fuel:f w);
+      raises "prepare_source" (fun () ->
+          Harness.prepare_source ~fuel:f ~name:"src"
+            "int main(void) { return 0; }"))
     [ 0; -5 ];
   List.iter
     (fun b ->

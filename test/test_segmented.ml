@@ -434,6 +434,93 @@ let prop_segmented_equals_sequential =
           seq = seg.Ilp.Segmented.results)
         prepared)
 
+(* qcheck: 1–8 random lattice machines on one predictor, with random
+   step budgets, segment collection on some and probes on all, analyzed
+   as one lockstep group must equal each machine analyzed alone — the
+   results and the probe registry alike — through run_many, sink_many
+   and Segmented.run.  Equality with the singles is what shows a budget
+   cut freezing only its own machine's counted, dyn_branches and
+   mispredicts, which the group otherwise shares. *)
+let group_programs =
+  List.map
+    (fun (name, src) ->
+      lazy
+        (let p = Harness.prepare_source ~train_values:true ~name src in
+         (p, Recorded.trace p)))
+    sources
+  @ List.map
+      (fun name ->
+        lazy
+          (let p =
+             Harness.prepare ~fuel:40_000 ~train_values:true
+               (Workloads.Registry.find name)
+           in
+           (p, Recorded.trace p)))
+      [ "gcc"; "matrix300" ]
+
+let prop_group_equals_singles =
+  QCheck.Test.make ~count:40
+    ~name:"one group == each machine alone (run_many/sink_many/segmented)"
+    QCheck.(
+      quad
+        (list_of_size
+           Gen.(int_range 1 8)
+           (triple (int_bound 0x3FFFFFFF)
+              (option (int_range 1 40_000))
+              bool))
+        (int_range 1 5_000) bool
+        (int_bound (List.length group_programs - 1)))
+    (fun (specs, segment_steps, pooled, prog) ->
+      let p, trace = Lazy.force (List.nth group_programs prog) in
+      let predictor = Harness.profile_predictor p in
+      let value_table =
+        Option.map Predict.Predictor.Value.table p.Harness.values
+      in
+      let completeness = p.completeness in
+      (* Each analysis gets fresh configs whose probes share one fresh
+         registry, returned with the results. *)
+      let analyzed f =
+        let reg = Obs.Metrics.create () in
+        let configs =
+          List.map
+            (fun (seed, step_budget, collect_segments) ->
+              let machine = Ilp.Machine.random seed in
+              Ilp.Analyze.config ~collect_segments ?step_budget ?value_table
+                ~probe:
+                  (Obs.Probe.analyzer ~sample_every:64 reg
+                     ~machine:machine.Ilp.Machine.name)
+                machine predictor)
+            specs
+        in
+        let results = f configs in
+        (results, Obs.Metrics.snapshot reg)
+      in
+      let alone =
+        analyzed
+          (List.map (fun c -> Ilp.Analyze.run ~completeness c p.info trace))
+      in
+      let by_run_many =
+        analyzed (fun cs -> Ilp.Analyze.run_many ~completeness cs p.info trace)
+      in
+      let by_sink =
+        analyzed (fun cs ->
+            let sink, finish = Ilp.Analyze.sink_many cs p.info in
+            Vm.Trace.iter sink.Vm.Trace.on_entry trace;
+            sink.on_close ();
+            finish ~completeness ())
+      in
+      let segmented ?pool cs =
+        (Ilp.Segmented.run ?pool ~completeness ~segment_steps cs p.info trace)
+          .Ilp.Segmented.results
+      in
+      let by_segmented =
+        analyzed (fun cs ->
+            if pooled then
+              Stdx.Pool.with_pool ~jobs:2 (fun pool -> segmented ~pool cs)
+            else segmented cs)
+      in
+      alone = by_run_many && alone = by_sink && alone = by_segmented)
+
 (* All ten registry workloads, truncated by a small fuel, through the
    harness segmented path on a pool — the acceptance sweep. *)
 let test_all_workloads_identical () =
@@ -484,5 +571,6 @@ let suite =
     Alcotest.test_case "check hook propagates" `Quick
       test_check_hook_propagates;
     QCheck_alcotest.to_alcotest prop_segmented_equals_sequential;
+    QCheck_alcotest.to_alcotest prop_group_equals_singles;
     Alcotest.test_case "all workloads: segmented == sequential" `Slow
       test_all_workloads_identical ]
