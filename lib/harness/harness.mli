@@ -229,7 +229,7 @@ module Run : sig
     segment_steps : segmenting;
     (** intra-trace sharding policy.  Anything but [`Off] makes
         [jobs > 1] parallelize {e within} each workload's trace
-        (segment decode + per-config stitch fan-out), so a single
+        (segment decode + sub-group stitch fan-out), so a single
         workload saturates the pool; [`Off] parallelizes across
         workloads only, on a pool of [min jobs workloads] domains. *)
   }

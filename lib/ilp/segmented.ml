@@ -16,7 +16,7 @@
    with each other (and, in streaming mode, with VM retirement), and
    the sub-group stitchers run across domains.  Each stitcher is one
    lockstep group state advancing its machines together; the partition
-   depends on the number of configs alone (4 + 3 for the paper seven),
+   depends on the number of configs alone (3 + 4 for the paper seven),
    never on the pool. *)
 
 type outcome = {
@@ -140,7 +140,7 @@ let push t seg =
 let sink_of t = Vm.Trace.segmenting_sink ~steps:t.steps ~emit:(push t)
 
 (* The stitch partition: the configs' positions cut into contiguous
-   sub-groups of at most four, as even as possible — 7 is 4 + 3, 8 is
+   sub-groups of at most four, as even as possible — 7 is 3 + 4, 8 is
    4 + 4, 9 is 3 + 3 + 3.  Fixed by the count alone, so results, span
    skeleton and task count are the same at every pool width; two or
    more sub-groups keep a two-domain pool stitching on both domains,

@@ -34,7 +34,7 @@ type outcome = {
 val subgroups : int -> int list list
 (** [subgroups n]: the stitch partition of [n] configs' positions into
     contiguous sub-groups of at most four, as even as possible ([7] is
-    [[0;1;2;3]; [4;5;6]]). *)
+    [[0;1;2]; [3;4;5;6]]). *)
 
 val auto_steps : trace_len:int -> jobs:int -> int
 (** Static granularity choice for [--segment-steps auto]:

@@ -2,13 +2,11 @@
    share the trace, the static program facts and the predictor, and
    nothing of the hot loop. *)
 
-let pp_result fmt (r : Ilp.Analyze.result) =
-  Format.fprintf fmt
-    "{machine=%s; counted=%d; seq=%d; cycles=%d; dyn=%d; mis=%d; segs=%d}"
-    r.machine r.counted r.seq_cycles r.cycles r.dyn_branches r.mispredicts
-    (Array.length r.segments)
-
-let result_t = Alcotest.testable pp_result ( = )
+(* Results compare on everything but the execution's completeness tag:
+   the reference only times entries. *)
+let pp_result = Test_pipeline.pp_result
+let equal_result = Test_pipeline.equal_result
+let result_t = Test_pipeline.result_t
 
 let fuel = 20_000
 
@@ -20,11 +18,6 @@ let prepared =
          let p = Harness.prepare ~fuel ~train_values:true w in
          (w.name, p, Recorded.trace p))
        Workloads.Registry.all)
-
-(* The analyzer's result with the execution's tag set aside: the
-   reference only times entries. *)
-let untagged (r : Ilp.Analyze.result) =
-  { r with completeness = Pipeline_error.Complete }
 
 let test_paper_machines () =
   List.iter
@@ -42,7 +35,7 @@ let test_paper_machines () =
             (Printf.sprintf "%s %s" name m.Ilp.Machine.name)
             (Ref_analyze.analyze ~collect_segments:true ~predictor m p.info
                trace)
-            (untagged r))
+            r)
         Ilp.Machine.all_paper got)
     (Lazy.force prepared)
 
@@ -70,8 +63,8 @@ let prop_random_machines =
         Ref_analyze.analyze ~inline ~unroll ~collect_segments:true
           ?value_table ~predictor machine p.info trace
       in
-      let got = untagged (Ilp.Analyze.run cfg p.info trace) in
-      if got = want then true
+      let got = Ilp.Analyze.run cfg p.info trace in
+      if equal_result got want then true
       else
         QCheck.Test.fail_reportf "%s, %s, inline=%b unroll=%b: want %a, got %a"
           name (Ilp.Machine.describe machine) inline unroll pp_result want
@@ -183,8 +176,8 @@ let prop_random_traces =
         Ref_analyze.analyze ~inline ~unroll ~collect_segments:true
           ~value_table:vp ~predictor machine info trace
       in
-      let got = untagged (Ilp.Analyze.run cfg info trace) in
-      if got = want then true
+      let got = Ilp.Analyze.run cfg info trace in
+      if equal_result got want then true
       else
         QCheck.Test.fail_reportf "%s, inline=%b unroll=%b: want %a, got %a"
           (Ilp.Machine.describe machine) inline unroll pp_result want

@@ -151,6 +151,28 @@ let test_auto_steps_bounds () =
   Alcotest.(check bool) "always >= 1" true
     (Ilp.Segmented.auto_steps ~trace_len:0 ~jobs:1 >= 1)
 
+(* The stitch partition depends on the config count alone: contiguous
+   sub-groups of at most four, as even as possible, covering every
+   position once in order. *)
+let test_subgroups () =
+  let check n want =
+    Alcotest.(check (list (list int)))
+      (Printf.sprintf "%d configs" n)
+      want (Ilp.Segmented.subgroups n)
+  in
+  check 1 [ [ 0 ] ];
+  check 4 [ [ 0; 1; 2; 3 ] ];
+  check 5 [ [ 0; 1 ]; [ 2; 3; 4 ] ];
+  check 7 [ [ 0; 1; 2 ]; [ 3; 4; 5; 6 ] ];
+  check 9 [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6; 7; 8 ] ];
+  for n = 1 to 40 do
+    let gs = Ilp.Segmented.subgroups n in
+    Alcotest.(check (list int)) "covers in order" (List.init n Fun.id)
+      (List.concat gs);
+    Alcotest.(check bool) "at most four each" true
+      (List.for_all (fun g -> g <> [] && List.length g <= 4) gs)
+  done
+
 let prepared_flat =
   lazy
     (let p =
@@ -552,6 +574,7 @@ let suite =
       test_segmenting_sink_matches_segments;
     Alcotest.test_case "config compatibility" `Quick test_compatible;
     Alcotest.test_case "auto stride bounds" `Quick test_auto_steps_bounds;
+    Alcotest.test_case "stitch sub-groups" `Quick test_subgroups;
     Alcotest.test_case "bad args raise" `Quick test_bad_args_raise;
     Alcotest.test_case "identical across strides" `Quick
       test_identical_strides;
