@@ -616,7 +616,7 @@ let failing checks =
 
 (* Run [cfg] over [ws] with the pipeline counters watched: the
    outcomes, the wall time, the (entries, state entries, executions)
-   deltas, and the segments decoded. *)
+   deltas, and the segments applied through the replay pipeline. *)
 let counted_exec cfg ws =
   let e0 = Harness.Counters.entries () in
   let s0 = Harness.Counters.state_entries () in
@@ -687,15 +687,16 @@ let scaling ctx =
 
 (* Segment-scaling: intra-trace parallelism on ONE workload.  The
    `scaling` gate parallelizes across workloads, which a
-   single-workload run cannot use; this one shards gcc's trace into
-   segments (DESIGN.md §15) and runs the same seven-machine sweep at
-   1, 2 and 4 domains (and --jobs).  Every segmented point must
-   reproduce the un-segmented sequential run bit-for-bit — results,
-   completeness tags, counter deltas — and every point with more than
-   one domain must really have segmented.  Wall times are honest: on a
-   machine without idle cores the speedup column will show < 1 (the
-   decode/stitch split adds work); the column exists to be read, not
-   to flatter. *)
+   single-workload run cannot use; this one replays gcc's trace
+   through the segment pipeline (DESIGN.md §15: the VM fills one
+   segment while the pool applies the previous one) and runs the same
+   seven-machine sweep at 1, 2 and 4 domains (and --jobs).  Every
+   point must reproduce the un-segmented sequential run bit-for-bit —
+   results, completeness tags, counter deltas — and every point with
+   more than one domain must really have pipelined.  Wall times are
+   honest: on a machine without an idle core the speedup column shows
+   the pipeline's overhead, not a gain; the column exists to be read,
+   not to flatter. *)
 let segment_scaling ctx =
   let w = Workloads.Registry.find "gcc" in
   let run ~jobs ~segmenting =
@@ -730,7 +731,7 @@ let segment_scaling ctx =
     (Report.Table.render
        ~title:
          (Printf.sprintf
-            "Segment scaling: gcc x %d machines, intra-trace sharding \
+            "Segment scaling: gcc x %d machines, pipelined replay \
              (seq baseline %.3f s, %d domains available)"
             (List.length machines) seq_wall
             (Stdx.Pool.recommended_jobs ()))
@@ -744,7 +745,7 @@ let segment_scaling ctx =
               "--jobs %d segmented run diverged from the sequential run" jobs
           );
           ( jobs > 1 && ctx.segmenting <> `Off && segs = 0,
-            Printf.sprintf "--jobs %d decoded no segments" jobs ) ])
+            Printf.sprintf "--jobs %d pipelined no segments" jobs ) ])
     points
 
 (* Static vs dynamic: the static estimator (`Cfg.Estimate` compiled by

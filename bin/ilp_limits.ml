@@ -1067,10 +1067,11 @@ let fuzz_cmd =
   let segments =
     Arg.(value & flag & info [ "segments" ]
            ~doc:"Differential mode: also analyze every perturbed trace \
-                 through the segmented (intra-trace parallel) path, \
-                 with a per-case segment stride drawn from the seed \
-                 stream, and treat any divergence from the sequential \
-                 result as an escaped invariant violation.")
+                 through the segment pipeline (intra-trace parallel \
+                 analysis, run inline), with a per-case segment stride \
+                 drawn from the seed stream, and treat any divergence \
+                 from the sequential result as an escaped invariant \
+                 violation.")
   in
   let serve_sock =
     Arg.(value & opt (some string) None & info [ "serve" ] ~docv:"SOCKET"
@@ -1145,10 +1146,11 @@ let serve_cmd =
   let segment_steps =
     Cli.Parallel.segment_steps_arg
       ~doc:
-        "Shard each request's trace into $(docv)-instruction segments \
-         fanned out across idle worker domains (replies stay \
-         bit-identical to un-segmented analysis; $(b,auto) derives the \
-         stride from trace length and pool width)."
+        "Replay each request through a pipeline of $(docv)-instruction \
+         segments: the request's domain runs the VM while idle worker \
+         domains apply the previous segment, at most two segments at a \
+         time (replies stay bit-identical to un-segmented analysis; \
+         $(b,auto) is one 16384-entry trace chunk)."
       ()
   in
   let supervise =

@@ -34,12 +34,12 @@ let jobs_arg =
            value of N.")
 
 let default_segment_doc =
-  "Shard each workload's trace into $(docv)-instruction segments \
-   analyzed in parallel across the $(b,--jobs) domains (decode \
-   concurrently, stitch deterministically), so even a single workload \
-   saturates the pool.  $(b,auto) derives the stride from trace \
-   length and jobs.  Results are bit-identical to the un-segmented \
-   run."
+  "Replay each workload's trace through a pipeline of \
+   $(docv)-instruction segments when $(b,--jobs) is above 1: the VM \
+   fills one segment while the pool applies the previous one, at most \
+   two segments at a time, so even a single workload keeps two domains \
+   busy.  $(b,auto) is one 16384-entry trace chunk.  Results are \
+   bit-identical to the un-segmented run."
 
 let segment_steps_arg ?(doc = default_segment_doc) () =
   Arg.(

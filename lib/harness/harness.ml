@@ -28,7 +28,7 @@ module Counters = struct
 
   let n_segments =
     Obs.Metrics.counter Obs.Metrics.global
-      ~help:"trace segments decoded by segmented analysis"
+      ~help:"trace segments applied through the replay pipeline"
       "pipeline_segments_total"
 
   let executions () = Obs.Metrics.counter_value n_executions
@@ -313,80 +313,28 @@ let configs_of_specs ?(obs = Obs.Ctx.disabled) ?value_table ~flat ~info
     specs
 
 (* ------------------------------------------------------------------ *)
-(* Intra-trace segmentation (DESIGN.md §15): how a run decides whether
-   to shard one workload's trace across domains. *)
+(* Intra-trace segmentation (DESIGN.md §15): whether a replay runs
+   through the segment pipeline, and at what stride. *)
 
 type segmenting = [ `Off | `Auto | `Steps of int ]
 
-let resolve_segment_steps ~trace_len ~jobs = function
-  | `Off -> None
-  | `Steps n -> Some (max 1 n)
-  | `Auto ->
-    (* Auto only engages when there are domains to feed; an explicit
-       stride is honored even sequentially (the deterministic
-       reference path tests and the fuzzer exercise). *)
-    if jobs <= 1 then None
-    else Some (Ilp.Segmented.auto_steps ~trace_len ~jobs)
+let check_segment_steps = function
+  | `Steps n when n < 1 -> Error (below_one "segment steps" n)
+  | _ -> Ok ()
 
-(* The segmented analysis fan-out over one stream of trace entries:
-   configs are partitioned into decode groups
-   ([Ilp.Analyze.decode_groups], positions remembered), each group gets
-   a segmented sink — or the plain [sink_many] for a stateful predictor's
-   group of one — and the stream is teed into all of them.  [finish]
-   stitches every group and scatters results back into config order, so
-   callers see exactly the [run_many] contract. *)
-let segmented_sinks ?pool ?(obs = Obs.Ctx.disabled)
-    ?(span_index_base = 0) ?(workload = "") ?check ~segment_steps configs
-    info =
-  let cfg_arr = Array.of_list configs in
-  (* Per group: result positions, its sink, and a finish yielding
-     (results in group order, segments decoded). *)
-  let members =
-    List.mapi
-      (fun g positions ->
-        let cfgs = List.map (fun i -> cfg_arr.(i)) positions in
-        if Ilp.Analyze.compatible cfgs then
-          let sink, finish =
-            Ilp.Segmented.sink ?pool ~obs
-              ~span_index_base:(span_index_base + (g * 10_000_000))
-              ~workload ?check ~segment_steps cfgs info
-          in
-          ( positions,
-            sink,
-            fun ?completeness () ->
-              let o = finish ?completeness () in
-              (o.Ilp.Segmented.results, o.Ilp.Segmented.segments) )
-        else
-          (* Not decode-sharable (stateful predictor): this config's
-             state advances directly on the stream, exactly the
-             sequential path. *)
-          let sink, finish = Ilp.Analyze.sink_many cfgs info in
-          ( positions,
-            sink,
-            fun ?completeness () -> (finish ?completeness (), 0) ))
-      (Ilp.Analyze.decode_groups configs)
-  in
-  let sink =
-    match members with
-    | [ (_, s, _) ] -> s
-    | _ ->
-      List.fold_left
-        (fun acc (_, s, _) -> Vm.Trace.tee acc s)
-        Vm.Trace.null_sink members
-  in
-  let finish ?completeness () =
-    let out = Array.make (Array.length cfg_arr) None in
-    let total_segments = ref 0 in
-    List.iter
-      (fun (positions, _, fin) ->
-        let results, segs = fin ?completeness () in
-        total_segments := !total_segments + segs;
-        List.iter2 (fun i r -> out.(i) <- Some r) positions results)
-      members;
-    Counters.record_segments !total_segments;
-    Array.to_list (Array.map Option.get out)
-  in
-  (sink, finish)
+(* The pipeline engages only when there are domains to feed.  A stride
+   never exceeds the trace, so an oversized one costs no memory.  A
+   stride below 1 raises, with the typed error's message. *)
+let resolve_segment_steps ~trace_len ~jobs (s : segmenting) =
+  (match check_segment_steps s with
+  | Error { Pipeline_error.cause = Invalid_request msg; _ } -> invalid_arg msg
+  | _ -> ());
+  match s with
+  | `Off -> None
+  | _ when jobs <= 1 -> None
+  | `Steps n -> Some (min n (max 1 trace_len))
+  | `Auto ->
+    Some (min (Ilp.Segmented.auto_steps ~trace_len ~jobs) (max 1 trace_len))
 
 module Run = struct
   type config = {
@@ -414,7 +362,7 @@ module Run = struct
   (* The replay: execute the prepared program again, with the same fuel
      and memory, so it retires the same entries, straight into every
      analysis state.  Nothing is recorded.  A deadline rides the replay's
-     observe hook and, when segmented, the per-segment check; the last
+     observe hook and, when pipelined, the per-segment check; the last
      partial chunk is analyzed at close, after the last observe call, so
      the clock is checked once more after [finish]. *)
   let on_prepared ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled)
@@ -441,9 +389,16 @@ module Run = struct
             let check =
               Option.map (fun d () -> Obs.Deadline.check d) deadline
             in
-            segmented_sinks ?pool ~obs
-              ~span_index_base:((task_index + 1) * 100_000_000)
-              ~workload:name ?check ~segment_steps configs p.info
+            let sink, finish =
+              Ilp.Segmented.sink ?pool ~obs
+                ~span_index_base:((task_index + 1) * 100_000_000)
+                ~workload:name ?check ~segment_steps configs p.info
+            in
+            ( sink,
+              fun ?completeness () ->
+                let o = finish ?completeness () in
+                Counters.record_segments o.Ilp.Segmented.segments;
+                o.Ilp.Segmented.results )
         in
         let o =
           Vm.Exec.run ?mem_words:p.mem_words ~fuel:p.fuel ~record:false
@@ -469,6 +424,7 @@ module Run = struct
   let exec cfg ws =
     let* jobs = validate_jobs cfg.jobs in
     let* () = check_fuel cfg.fuel in
+    let* () = check_segment_steps cfg.segment_steps in
     let* specs = inherit_step_budget cfg.step_budget cfg.specs in
     let task ?pool (i, w) =
       let name = w.Workloads.Registry.name in
@@ -496,19 +452,20 @@ module Run = struct
     in
     let indexed = List.mapi (fun i w -> (i, w)) ws in
     (* Un-segmented, a workload is one task, so domains beyond the
-       workload count would idle.  Segmentation wants the pool inside
-       every task (decode + stitch fan-out), including the
-       single-workload case; nested submissions are safe, as the pool's
-       submitters and awaiters help drain the queue. *)
+       workload count would idle.  Pipelined, the workloads run one
+       after another on this domain, each the producer of its own
+       replay, and the pool runs only their apply tasks: no task awaits
+       another, and one workload's two segments are all that is live. *)
+    let pipelined = cfg.segment_steps <> `Off && jobs > 1 in
     let width =
-      if cfg.segment_steps = `Off then min jobs (List.length indexed)
-      else jobs
+      if pipelined then jobs else min jobs (List.length indexed)
     in
     if width <= 1 then Ok (List.map (fun iw -> task iw) indexed)
     else
       Ok
         (Stdx.Pool.with_pool ~jobs:width (fun pool ->
-             Stdx.Pool.map_list pool (fun iw -> task ~pool iw) indexed))
+             if pipelined then List.map (fun iw -> task ~pool iw) indexed
+             else Stdx.Pool.map_list pool (fun iw -> task ~pool iw) indexed))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -584,6 +541,7 @@ module Request = struct
     let name = w.Workloads.Registry.name in
     let* fuel = resolve_fuel w fuel in
     let* specs = inherit_step_budget step_budget specs in
+    let* () = check_segment_steps segment_steps in
     let* mem_words = validated_mem_words ~workload:name mem_words in
     (* The clock starts before compilation: a cache miss spends budget
        compiling, a hit keeps it all for execution. *)
@@ -749,9 +707,9 @@ let inject ?fuel ?obs ?machine ~seed ~kind w =
   Result.map fst
     (inject_with ?fuel ?obs ?machine ~seed ~kind ~analyze:analyze_one w)
 
-(* The segmented-vs-sequential differential on a perturbed pipeline:
+(* The pipeline-vs-sequential differential on a perturbed pipeline:
    the one injected execution is teed into the sequential analyzer and
-   an un-pooled segmented sink, which see exactly the same (possibly
+   the un-pooled segment pipeline, which see exactly the same (possibly
    cut) stream.  Returns the sequential result (for the usual
    completeness tally) plus whether the two agree structurally. *)
 let inject_compare ?fuel ?obs ?machine ~seed ~kind ~segment_steps w =

@@ -58,10 +58,10 @@ module Counters : sig
       [profiled_entries () + state_entries ()]. *)
 
   val segments : unit -> int
-  (** Trace segments decoded by segmented (intra-trace parallel)
-      analysis — [pipeline_segments_total].  Zero when every analysis
-      ran un-segmented.  Obs-independent, so the bench can check that
-      a run really segmented without enabling a context. *)
+  (** Trace segments applied through the replay pipeline (intra-trace
+      parallel analysis) — [pipeline_segments_total].  Zero when every
+      analysis ran un-segmented.  Obs-independent, so the bench can
+      check that a run really pipelined without enabling a context. *)
 
   val reset : unit -> unit
 end
@@ -196,12 +196,14 @@ val specs_need_values : spec list -> bool
 
 (** Intra-trace segmentation policy (DESIGN.md §15).  [`Off]: each
     workload's trace is analyzed sequentially (parallelism across
-    workloads only).  [`Steps n]: shard every trace into [n]-entry
-    segments, decode them concurrently, stitch deterministically.
-    [`Auto]: derive the stride from trace length and jobs via
-    {!Ilp.Segmented.auto_steps} ([`Off] when [jobs <= 1], where
-    segmentation only adds overhead).  Results are bit-identical
-    across all three for every machine spec. *)
+    workloads only).  [`Steps n]: at [jobs > 1], replay through the
+    {!Ilp.Segmented} pipeline in [n]-entry segments, each applied on
+    the pool while the VM fills the next.  [`Auto]: the same at
+    {!Ilp.Segmented.auto_steps}'s stride.  At [jobs = 1] both replay
+    as [`Off] does.  A stride below 1 is a typed [Invalid_request]
+    ("segment steps must be at least 1 (got N)", exit code 2).
+    Results are bit-identical across all three for every machine
+    spec. *)
 type segmenting = [ `Off | `Auto | `Steps of int ]
 
 (** The unified run API.  One config, one [exec], uniform per-workload
@@ -228,10 +230,12 @@ module Run : sig
                           costs the hot loops one bool test *)
     segment_steps : segmenting;
     (** intra-trace sharding policy.  Anything but [`Off] makes
-        [jobs > 1] parallelize {e within} each workload's trace
-        (segment decode + sub-group stitch fan-out), so a single
-        workload saturates the pool; [`Off] parallelizes across
-        workloads only, on a pool of [min jobs workloads] domains. *)
+        [jobs > 1] parallelize {e within} each workload's trace: the
+        workloads replay one after another on the calling domain, each
+        pipelined across the pool (apply tasks per segment and
+        sub-group), so a single workload keeps two domains busy and
+        holds two segments.  [`Off] parallelizes across workloads
+        only, on a pool of [min jobs workloads] domains. *)
   }
 
   val config :
@@ -262,7 +266,7 @@ module Run : sig
       analyzer under the config: {!prepare_result}, then
       {!on_prepared}.  [Error] only for an invalid config ([jobs],
       [fuel] or a step budget below 1); every per-workload failure is
-      carried in its {!item}.  With [jobs > 1]
+      carried in its {!item}.  With [jobs > 1] and no segmentation,
       workloads fan out over a domain pool, each task with its own VM
       state, analysis sinks and span buffer; results are merged by
       workload index, so the output — results, {!Counters} totals,
@@ -298,11 +302,13 @@ module Run : sig
       check; expiry raises {!Obs.Deadline.Expired}, which {!exec} and
       {!Request.exec} turn into the typed [Deadline_exceeded].
 
-      [segmenting] (default [`Off]) shards the trace per DESIGN.md §15;
-      [jobs] (default 1) feeds [`Auto] stride resolution, [pool] hosts
-      the decode/stitch tasks (absent: every stage runs inline, same
-      results), and [task_index] namespaces the per-segment span
-      buffers so concurrent workloads never collide. *)
+      [segmenting] (default [`Off]) replays through the segment
+      pipeline of DESIGN.md §15 when [jobs] (default 1) is above 1,
+      with this call's domain as the producer; [pool] hosts the apply
+      tasks (absent: every task runs inline, same results), and
+      [task_index] namespaces the per-segment span buffers so
+      workloads never collide.  A [`Steps] stride below 1 raises
+      [Invalid_argument]. *)
 end
 
 (** Request-shaped entry point: one workload, per-request quotas, an
@@ -354,12 +360,13 @@ module Request : sig
       pass), the first spec's machine (default [sp_cd_mf]), the
       injector's observe hook chained with the deadline's.
 
-      [segment_steps] (default [`Off]) analyzes via the segmented path
-      of DESIGN.md §15, with decode/stitch tasks on [pool] (absent:
-      inline; [`Auto] stride resolution uses the pool's width).
-      Deadline expiry still lands as [Deadline_exceeded]: the check
-      hook runs per segment on every domain and propagates through the
-      futures. *)
+      [segment_steps] (default [`Off]) analyzes via the segment
+      pipeline of DESIGN.md §15 when [pool] is wider than one domain:
+      this request's domain runs the VM and the pool applies each
+      segment's sub-groups.  Deadline expiry still lands as
+      [Deadline_exceeded]: the check hook runs per segment on the
+      producer and in every apply task, and propagates through the
+      futures.  A [`Steps] stride below 1 is [Invalid_request]. *)
 end
 
 (** Outcome of running the static verifier (and optionally the dynamic

@@ -165,8 +165,14 @@ module State : sig
       this config's own decoder, in trace order).  Entries must arrive
       in trace order; each machine drops the entries past its config's
       [step_budget].  This is the one per-entry transition:
-      {!run_many}, {!sink_many} and segmented analysis all apply
+      {!run_many}, {!sink_many} and the segment pipeline all apply
       entries through it. *)
+
+  val apply :
+    t -> pcs:int array -> auxs:int array -> bits:int array -> len:int -> unit
+  (** [step_bits] over entries [0 .. len - 1] of a classified chunk, in
+      index order: the apply half of {!sink_many}'s chunk fan-out, and
+      one segment's task in {!Segmented}. *)
 
   val finish_group :
     ?completeness:Pipeline_error.completeness -> t -> result list

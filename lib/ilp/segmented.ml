@@ -1,149 +1,30 @@
-(* Intra-trace parallel analysis: decode fixed-stride trace segments
-   concurrently, replay them sequentially.
-
-   The analyzer's per-entry transition splits into a state-free
-   classification (Analyze.decoder: static flags + predicted branch
-   direction, pure in (pc, aux) for stateless predictors) and a
-   state-carrying apply (Analyze.State.step_bits).  Segmented mode
-   decodes whole segments on pool domains and then, per sub-group of
-   the configs, applies the decoded entries in strict trace order — the
-   apply sequence is literally the sequential run's sequence, so
-   bit-identity with the sequential pass holds by construction, for
-   every constraint in the machine lattice (window, flows, fetch,
-   value prediction), every budget cut, and every truncated trace.
-
-   Parallelism comes from two places: segment decodes run concurrently
-   with each other (and, in streaming mode, with VM retirement), and
-   the sub-group stitchers run across domains.  Each stitcher is one
-   lockstep group state advancing its machines together; the partition
-   depends on the number of configs alone (3 + 4 for the paper seven),
-   never on the pool. *)
+(* Intra-trace parallel analysis as a two-segment pipeline: the
+   producer (the domain feeding the sink, normally the VM's) classifies
+   each full segment once per decode group, and each stitch sub-group's
+   lockstep state applies it as one pool task while the producer fills
+   the next.  Before handing segment k + 1 off, the producer awaits
+   segment k's tasks, so at most two segments are live and each state
+   applies the entries in trace order with the sequential
+   classification: bit-identity with the sequential pass holds by
+   construction (DESIGN.md §15).  No task awaits another. *)
 
 type outcome = {
   results : Analyze.result list;
-  segments : int;  (** segments decoded *)
+  segments : int;  (** segments applied *)
   steps : int;  (** segment stride used *)
 }
 
-(* Oracle-guided granularity, the cheap static form: segments sized so
-   each domain sees a few per stitch round (amortizing task overhead)
-   but floored high enough that the per-segment bits array and queue
-   traffic stay negligible against the decode itself.  The stitch-wait
-   histogram (analyze_segment_stitch_wait_ns) is the measurement
-   instrument for tuning these constants. *)
-let auto_steps ~trace_len ~jobs =
-  let jobs = max 1 jobs in
-  let target = trace_len / (4 * jobs) in
-  max 1 (min 262_144 (max 16_384 target))
-
-type decoded = {
-  d_seg : Vm.Trace.seg;
-  d_bits : int array;
-}
-
-(* A segment either decoded inline (no pool) or pending on a pool
-   domain. *)
-type slot =
-  | Now of decoded
-  | Later of decoded Stdx.Pool.future
-
-type t = {
-  configs : Analyze.config array;
-  info : Program_info.t;
-  pool : Stdx.Pool.t option;
-  decode : pc:int -> aux:int -> int;
-  obs : Obs.Ctx.t;
-  span_base : int;
-  workload : string;
-  check : unit -> unit;
-  steps : int;
-  mutable slots : slot list;  (* newest first *)
-  mutable n_segments : int;
-  (* Metrics, registered only on an enabled context. *)
-  m_segments : Obs.Metrics.counter option;
-  m_wait : Obs.Metrics.histogram option;
-}
-
-let wait_buckets =
-  [| 1_000; 10_000; 100_000; 1_000_000; 10_000_000; 100_000_000;
-     1_000_000_000 |]
-
-let create ?pool ?(obs = Obs.Ctx.disabled) ?(span_index_base = 0)
-    ?(workload = "") ?(check = fun () -> ()) ~segment_steps configs info =
-  if segment_steps < 1 then
-    invalid_arg "Segmented.create: segment_steps must be >= 1";
-  if not (Analyze.compatible configs) then
-    invalid_arg
-      "Segmented.create: configs must share inline/unroll and one \
-       stateless predictor";
-  let enabled = Obs.Ctx.enabled obs in
-  let reg = Obs.Ctx.metrics obs in
-  { configs = Array.of_list configs;
-    info;
-    pool;
-    decode = Analyze.decoder (List.hd configs) info;
-    obs;
-    span_base = span_index_base;
-    workload;
-    check;
-    steps = segment_steps;
-    slots = [];
-    n_segments = 0;
-    m_segments =
-      (if enabled then
-         Some
-           (Obs.Metrics.counter reg
-              ~help:"trace segments decoded for segmented analysis"
-              "analyze_segments_total")
-       else None);
-    m_wait =
-      (if enabled then
-         Some
-           (Obs.Metrics.histogram reg
-              ~help:"stitcher wait for a segment's decode to finish"
-              ~buckets:wait_buckets "analyze_segment_stitch_wait_ns")
-       else None) }
-
-let decode_seg t (seg : Vm.Trace.seg) =
-  t.check ();
-  let buf =
-    Obs.Ctx.task_buffer t.obs
-      ~index:(t.span_base + seg.Vm.Trace.seg_index)
-      ~label:
-        (Printf.sprintf "%s/segment-%d" t.workload seg.Vm.Trace.seg_index)
-  in
-  Obs.Span.with_span buf ~workload:t.workload "segment-decode" (fun () ->
-      let len = seg.Vm.Trace.seg_len in
-      let pcs = seg.Vm.Trace.seg_pcs in
-      let auxs = seg.Vm.Trace.seg_auxs in
-      let bits = Array.make (max len 1) 0 in
-      let decode = t.decode in
-      for i = 0 to len - 1 do
-        Array.unsafe_set bits i
-          (decode ~pc:(Array.unsafe_get pcs i)
-             ~aux:(Array.unsafe_get auxs i))
-      done;
-      { d_seg = seg; d_bits = bits })
-
-(* Feed one segment in: decode it on the pool (concurrently with the
-   producer and with other segments) or inline when there is none. *)
-let push t seg =
-  let slot =
-    match t.pool with
-    | Some pool -> Later (Stdx.Pool.async pool (fun () -> decode_seg t seg))
-    | None -> Now (decode_seg t seg)
-  in
-  t.slots <- slot :: t.slots;
-  t.n_segments <- t.n_segments + 1;
-  match t.m_segments with None -> () | Some c -> Obs.Metrics.incr c
-
-let sink_of t = Vm.Trace.segmenting_sink ~steps:t.steps ~emit:(push t)
+(* The pipeline's grain: one trace chunk, whatever the trace or the
+   pool.  Two segments are live at once, so a longer stride buys only
+   fewer hand-offs, and costs memory and the overlap lost while the
+   pipeline fills and drains (EXPERIMENTS.md, "Pipelined replay"). *)
+let auto_steps ~trace_len:_ ~jobs:_ = Vm.Trace.chunk_size
 
 (* The stitch partition: the configs' positions cut into contiguous
    sub-groups of at most four, as even as possible — 7 is 3 + 4, 8 is
    4 + 4, 9 is 3 + 3 + 3.  Fixed by the count alone, so results, span
    skeleton and task count are the same at every pool width; two or
-   more sub-groups keep a two-domain pool stitching on both domains,
+   more sub-groups keep a two-domain pool applying on both domains,
    while each still shares one state's per-entry work. *)
 let subgroups n =
   let k = (n + 3) / 4 in
@@ -151,72 +32,241 @@ let subgroups n =
       let lo = j * n / k and hi = (j + 1) * n / k in
       List.init (hi - lo) (fun i -> lo + i))
 
-(* Replay every decoded segment, in index order, through one lockstep
-   state for sub-group [j] ([positions]).  This is the sequential
-   analysis loop verbatim — only the classification was precomputed. *)
-let stitch_group t slots ?completeness (j, positions) =
-  t.check ();
-  let cfgs = List.map (Array.get t.configs) positions in
-  let st = Analyze.State.group cfgs t.info in
-  let buf =
-    Obs.Ctx.task_buffer t.obs
-      ~index:(t.span_base + t.n_segments + j)
-      ~label:(Printf.sprintf "%s/stitch-%d" t.workload j)
+(* One stitch sub-group.  [inline] for a stateful predictor's group,
+   which classifies in trace order and so applies on the producer. *)
+type sub = {
+  group : int;  (* its decode group, whose classification it applies *)
+  inline : bool;
+  positions : int list;  (* its configs' positions *)
+  state : Analyze.State.t;
+  machines : string;  (* span label *)
+}
+
+(* One segment's storage: its entries and their classification per
+   decode group. *)
+type buffer = {
+  pcs : int array;
+  auxs : int array;
+  bits : int array array;
+}
+
+type t = {
+  pool : Stdx.Pool.t option;
+  n_configs : int;
+  decoders : (pc:int -> aux:int -> int) array;  (* per decode group *)
+  subs : sub array;  (* every decode group's, in order *)
+  steps : int;
+  bufs : buffer array;  (* segment k lives in [bufs.(k land 1)] *)
+  mutable cur_pcs : int array;
+  mutable cur_auxs : int array;
+  mutable len : int;  (* entries in the segment being filled *)
+  mutable n_segments : int;  (* segments handed off *)
+  mutable in_flight : unit Stdx.Pool.future list list;
+  (* The pool tasks of each segment handed off and not yet retired,
+     newest segment first, each in sub-group order. *)
+  obs : Obs.Ctx.t;
+  span_base : int;
+  workload : string;
+  check : unit -> unit;
+  (* Metrics, registered only on an enabled context. *)
+  m_segments : Obs.Metrics.counter option;
+  m_stall : Obs.Metrics.histogram option;
+  m_live : Obs.Metrics.gauge option;
+}
+
+let create ?pool ?(obs = Obs.Ctx.disabled) ?(span_index_base = 0)
+    ?(workload = "") ?(check = fun () -> ()) ~segment_steps configs info =
+  if segment_steps < 1 then
+    invalid_arg "Segmented.create: segment_steps must be >= 1";
+  let cfgs = Array.of_list configs in
+  let groups = Analyze.decode_groups configs in
+  let subs_of g positions =
+    let members = List.map (Array.get cfgs) positions in
+    let inline = not (Analyze.compatible members) in
+    let pos = Array.of_list positions in
+    List.map
+      (fun ixs ->
+        let positions = List.map (Array.get pos) ixs in
+        let cs = List.map (Array.get cfgs) positions in
+        { group = g; inline; positions;
+          state = Analyze.State.group cs info;
+          machines =
+            String.concat "+"
+              (List.map
+                 (fun (c : Analyze.config) -> c.machine.Machine.name)
+                 cs) })
+      (subgroups (Array.length pos))
   in
-  Obs.Span.with_span buf ~workload:t.workload
-    ~machine:
-      (String.concat "+"
-         (List.map (fun (c : Analyze.config) -> c.machine.Machine.name) cfgs))
-    "segment-stitch" (fun () ->
-      Array.iter
-        (fun slot ->
-          t.check ();
-          let d =
-            match slot with
-            | Now d -> d
-            | Later fut -> (
-              match t.pool with
-              | None -> assert false
-              | Some pool -> (
-                match t.m_wait with
-                | None -> Stdx.Pool.await pool fut
-                | Some h ->
-                  let t0 = Obs.Span.now_ns () in
-                  let d = Stdx.Pool.await pool fut in
-                  Obs.Metrics.observe h
-                    (Int64.to_int (Int64.sub (Obs.Span.now_ns ()) t0));
-                  d))
-          in
-          let seg = d.d_seg in
-          let len = seg.Vm.Trace.seg_len in
-          let pcs = seg.Vm.Trace.seg_pcs in
-          let auxs = seg.Vm.Trace.seg_auxs in
-          let bits = d.d_bits in
-          for i = 0 to len - 1 do
-            Analyze.State.step_bits st
-              ~pc:(Array.unsafe_get pcs i)
-              ~aux:(Array.unsafe_get auxs i)
-              ~bits:(Array.unsafe_get bits i)
-          done)
-        slots;
-      Analyze.State.finish_group ?completeness st)
+  let buffer () =
+    { pcs = Array.make segment_steps 0;
+      auxs = Array.make segment_steps 0;
+      bits =
+        Array.init (List.length groups) (fun _ ->
+            Array.make segment_steps 0) }
+  in
+  let bufs = [| buffer (); buffer () |] in
+  let metric f =
+    if Obs.Ctx.enabled obs then Some (f (Obs.Ctx.metrics obs)) else None
+  in
+  { pool;
+    n_configs = Array.length cfgs;
+    decoders =
+      Array.of_list
+        (List.map (fun ps -> Analyze.decoder cfgs.(List.hd ps) info) groups);
+    subs = Array.of_list (List.concat (List.mapi subs_of groups));
+    steps = segment_steps;
+    bufs;
+    cur_pcs = bufs.(0).pcs;
+    cur_auxs = bufs.(0).auxs;
+    len = 0;
+    n_segments = 0;
+    in_flight = [];
+    obs;
+    span_base = span_index_base;
+    workload;
+    check;
+    m_segments =
+      metric (fun reg ->
+          Obs.Metrics.counter reg
+            ~help:"trace segments applied through the replay pipeline"
+            "analyze_segments_total");
+    m_stall =
+      metric (fun reg ->
+          Obs.Metrics.histogram reg
+            ~help:
+              "producer stall at the two-segment bound, awaiting the \
+               previous segment's apply tasks"
+            ~buckets:
+              [| 1_000; 10_000; 100_000; 1_000_000; 10_000_000;
+                 100_000_000; 1_000_000_000 |]
+            "analyze_segment_stall_ns");
+    m_live =
+      metric (fun reg ->
+          Obs.Metrics.gauge reg
+            ~help:"segments live at once (applying or filling), high-water"
+            "analyze_segments_live_max") }
+
+(* Segment [k]'s span buffers: the producer's classification at slot 0,
+   then one per sub-group — merged by index, so the skeleton does not
+   depend on which domain ran what. *)
+let span_buffer t ~k ~slot =
+  if not (Obs.Ctx.enabled t.obs) then Obs.Span.disabled
+  else
+    Obs.Ctx.task_buffer t.obs
+      ~index:(t.span_base + (k * (Array.length t.subs + 1)) + slot)
+      ~label:
+        (if slot = 0 then Printf.sprintf "%s/segment-%d" t.workload k
+         else Printf.sprintf "%s/segment-%d.%d" t.workload k (slot - 1))
+
+(* Apply segment [k] ([len] entries of [b]) to sub-group [j]'s state. *)
+let apply t b ~k ~len j () =
+  let s = t.subs.(j) in
+  t.check ();
+  Obs.Span.with_span (span_buffer t ~k ~slot:(j + 1)) ~workload:t.workload
+    ~machine:s.machines "segment-apply" (fun () ->
+      Analyze.State.apply s.state ~pcs:b.pcs ~auxs:b.auxs
+        ~bits:b.bits.(s.group) ~len)
+
+(* Await every task in flight — the producer helps run them — and only
+   then re-raise the first failure in sub-group order, so the exception
+   does not depend on scheduling. *)
+let retire t =
+  if t.in_flight <> [] then begin
+    let t0 = match t.m_stall with None -> 0L | Some _ -> Obs.Span.now_ns () in
+    let failure =
+      List.fold_left
+        (fun failure fut ->
+          match Stdx.Pool.await (Option.get t.pool) fut with
+          | () -> failure
+          | exception e when Option.is_none failure ->
+            Some (e, Printexc.get_raw_backtrace ())
+          | exception _ -> failure)
+        None
+        (List.concat (List.rev t.in_flight))
+    in
+    t.in_flight <- [];
+    Option.iter
+      (fun h ->
+        Obs.Metrics.observe h
+          (Int64.to_int (Int64.sub (Obs.Span.now_ns ()) t0)))
+      t.m_stall;
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failure
+  end
+
+(* Hand the filled segment off: classify it once per decode group,
+   retire the previous segment, apply the inline sub-groups, and submit
+   one task per other sub-group.  The last sub-group goes first:
+   thieves steal the oldest task, and the last sub-group is the
+   largest, so the producer keeps a smaller one to help with after its
+   next stretch of VM work.  [last] is the close: nothing fills after
+   it. *)
+let hand_off ?(last = false) t =
+  let len = t.len in
+  if len > 0 then begin
+    t.check ();
+    let k = t.n_segments in
+    let b = t.bufs.(k land 1) in
+    Obs.Span.with_span (span_buffer t ~k ~slot:0) ~workload:t.workload
+      "segment-decode" (fun () ->
+        Array.iteri
+          (fun g decode ->
+            let bits = b.bits.(g) in
+            for i = 0 to len - 1 do
+              Array.unsafe_set bits i
+                (decode ~pc:(Array.unsafe_get b.pcs i)
+                   ~aux:(Array.unsafe_get b.auxs i))
+            done)
+          t.decoders);
+    retire t;
+    Array.iteri
+      (fun j s -> if s.inline || t.pool = None then apply t b ~k ~len j ())
+      t.subs;
+    (match t.pool with
+    | None -> ()
+    | Some pool ->
+      let tasks = ref [] in
+      for j = Array.length t.subs - 1 downto 0 do
+        if not t.subs.(j).inline then
+          tasks := Stdx.Pool.async pool (apply t b ~k ~len j) :: !tasks
+      done;
+      if !tasks <> [] then t.in_flight <- !tasks :: t.in_flight);
+    t.n_segments <- k + 1;
+    Option.iter Obs.Metrics.incr t.m_segments;
+    (* Live now: the segments in flight and the one filling next — or
+       this one alone, while it applied inline. *)
+    Option.iter
+      (fun g ->
+        Obs.Metrics.set_max g
+          (max 1 (List.length t.in_flight + if last then 0 else 1)))
+      t.m_live;
+    let next = t.bufs.((k + 1) land 1) in
+    t.cur_pcs <- next.pcs;
+    t.cur_auxs <- next.auxs;
+    t.len <- 0
+  end
+
+let on_entry t ~pc ~aux =
+  let i = t.len in
+  Array.unsafe_set t.cur_pcs i pc;
+  Array.unsafe_set t.cur_auxs i aux;
+  t.len <- i + 1;
+  if i + 1 = t.steps then hand_off t
+
+let close t =
+  hand_off ~last:true t;
+  retire t
 
 let finish t ?completeness () =
-  let slots = Array.of_list (List.rev t.slots) in
-  let groups =
-    Array.of_list
-      (List.mapi (fun j g -> (j, g)) (subgroups (Array.length t.configs)))
-  in
-  let results =
-    match t.pool with
-    | Some pool when Array.length groups > 1 ->
-      (* Sub-group stitchers fan out across domains; each awaits the
-         shared decode futures as it reaches them (helping with queued
-         decodes while it waits, so narrow pools cannot deadlock). *)
-      Stdx.Pool.map_array pool (stitch_group t slots ?completeness) groups
-    | _ -> Array.map (stitch_group t slots ?completeness) groups
-  in
-  { results = List.concat (Array.to_list results);
+  retire t;
+  let out = Array.make t.n_configs None in
+  Array.iter
+    (fun s ->
+      List.iter2
+        (fun i r -> out.(i) <- Some r)
+        s.positions
+        (Analyze.State.finish_group ?completeness s.state))
+    t.subs;
+  { results = Array.to_list (Array.map Option.get out);
     segments = t.n_segments;
     steps = t.steps }
 
@@ -226,7 +276,8 @@ let sink ?pool ?obs ?span_index_base ?workload ?check ~segment_steps
     create ?pool ?obs ?span_index_base ?workload ?check ~segment_steps
       configs info
   in
-  (sink_of t, fun ?completeness () -> finish t ?completeness ())
+  ( Vm.Trace.sink ~on_close:(fun () -> close t) (on_entry t),
+    fun ?completeness () -> finish t ?completeness () )
 
 let run ?pool ?obs ?span_index_base ?workload ?check ?completeness
     ~segment_steps configs info trace =
@@ -234,5 +285,6 @@ let run ?pool ?obs ?span_index_base ?workload ?check ?completeness
     create ?pool ?obs ?span_index_base ?workload ?check ~segment_steps
       configs info
   in
-  Array.iter (push t) (Vm.Trace.segments ~steps:t.steps trace);
+  Vm.Trace.iter (on_entry t) trace;
+  close t;
   finish t ?completeness ()

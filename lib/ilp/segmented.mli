@@ -1,33 +1,37 @@
-(** Intra-trace parallel analysis: decode fixed-stride trace segments
-    concurrently, replay them sequentially (DESIGN.md §15).
+(** Intra-trace parallel analysis: a two-segment pipeline that applies
+    one fixed-stride segment of the trace on pool domains while the
+    producer fills the next (DESIGN.md §15).
 
     The per-entry transition of {!Analyze} splits into a state-free
     classification ({!Analyze.decoder} — static flags plus the
     predicted branch direction, pure in [(pc, aux)] for stateless
     predictors) and the state-carrying apply
-    ({!Analyze.State.step_bits}).  This module decodes segments of the
-    trace on {!Stdx.Pool} domains — concurrently with each other and,
-    in streaming mode, with VM retirement — then {e stitches}: the
-    configs are cut into sub-groups of at most four ({!subgroups}), and
-    each sub-group's one lockstep {!Analyze.State.t} applies the decoded
-    entries to all its machines in strict trace order, segment by
-    segment in index order.  The apply sequence is the sequential run's
-    sequence verbatim, so every result is bit-identical to
-    {!Analyze.run_many}, for every machine in the lattice, including
-    step-budget cuts and truncated traces.  With a pool, the sub-group
-    stitchers run across its domains.  The partition depends on the
-    config count alone, so the span skeleton and the results do not
-    depend on the pool's width.
+    ({!Analyze.State.apply}).  The producer — the domain feeding the
+    sink, normally the VM's — buffers [segment_steps] entries, then
+    classifies the segment once per decode group
+    ({!Analyze.decode_groups}).  A decode group's configs are cut into
+    stitch sub-groups of at most four ({!subgroups}), and each
+    sub-group's one lockstep {!Analyze.State.t} applies the segment as
+    one pool task.  Before handing off segment [k + 1] the producer
+    awaits, and so helps run, segment [k]'s tasks.  Each state
+    therefore applies the segments one at a time, in index order, with
+    the classification the sequential pass computes, so every result
+    is bit-identical to {!Analyze.run_many}, for every machine in the
+    lattice, including step-budget cuts and truncated traces.  A
+    stateful predictor's group classifies and applies on the producer.
+    No task awaits another.  The partition depends on the config count
+    alone, so the span skeleton and the results do not depend on the
+    pool's width.
 
-    Memory: decoded segments are retained until every stitcher has
-    consumed them — roughly 24 bytes per trace entry (pc, aux, bits).
-    The default harness traces (1–2M entries) cost tens of MB, but the
-    paper's 100M-entry traces would hold about 2.4 GB, so feeding
-    paper-scale traces through this path needs a bound on that backlog. *)
+    Memory: at most two segments are live, one applying and one
+    filling, in two buffers allocated once and reused: [2 + g] int
+    arrays of [segment_steps] entries each, for [g] decode groups.
+    For one decode group at the {!auto_steps} stride that is 768 KB,
+    whatever the trace's length. *)
 
 type outcome = {
   results : Analyze.result list;  (** in config order *)
-  segments : int;  (** segments decoded *)
+  segments : int;  (** segments applied *)
   steps : int;  (** segment stride used *)
 }
 
@@ -37,12 +41,41 @@ val subgroups : int -> int list list
     [[0;1;2]; [3;4;5;6]]). *)
 
 val auto_steps : trace_len:int -> jobs:int -> int
-(** Static granularity choice for [--segment-steps auto]:
-    [trace_len / (4 * jobs)] clamped to [16384, 262144] — a few
-    segments per domain per stitch round, floored high enough to
-    amortize per-segment task overhead.  The
-    [analyze_segment_stitch_wait_ns] histogram is the measurement
+(** The stride of [--segment-steps auto]: one trace chunk
+    ({!Vm.Trace.chunk_size}, 16384 entries) for every trace length and
+    pool width.  At most two segments are live, so a longer stride
+    would cost memory and fill-and-drain overlap for fewer hand-offs.
+    The [analyze_segment_stall_ns] histogram is the measurement
     instrument for retuning. *)
+
+val sink :
+  ?pool:Stdx.Pool.t ->
+  ?obs:Obs.Ctx.t ->
+  ?span_index_base:int ->
+  ?workload:string ->
+  ?check:(unit -> unit) ->
+  segment_steps:int ->
+  Analyze.config list ->
+  Program_info.t ->
+  Vm.Trace.sink
+  * (?completeness:Pipeline_error.completeness -> unit -> outcome)
+(** The pipeline as a sink, the parallel analogue of
+    {!Analyze.sink_many}: feed it from a live VM execution, close it,
+    then call finish (tagging results with the execution's
+    completeness).  Any config list is accepted; results come back in
+    config order.  Without a [pool] every task runs inline on the
+    producer (same results, no concurrency — the reference the fuzzer
+    compares).  [check] is called per segment on the producer and in
+    every task — the deadline hook; an exception it raises, or that an
+    apply raises, propagates to the producer once the segment's other
+    tasks have finished.  [obs] (default disabled) records one
+    ["segment-decode"] span per segment and one ["segment-apply"] span
+    per segment and sub-group, in buffers indexed from
+    [span_index_base] — merged by index, so jobs=N telemetry structure
+    equals sequential — plus the [analyze_segments_total] counter, the
+    [analyze_segment_stall_ns] histogram (the producer's wait at the
+    two-segment bound) and the [analyze_segments_live_max] gauge.
+    Raises [Invalid_argument] if [segment_steps < 1]. *)
 
 val run :
   ?pool:Stdx.Pool.t ->
@@ -56,33 +89,4 @@ val run :
   Program_info.t ->
   Vm.Trace.t ->
   outcome
-(** Segmented analysis of a materialized trace.  Without a [pool]
-    every stage runs inline on the caller (same results, no
-    concurrency — the deterministic reference the fuzzer compares).
-    [check] is called per segment on every domain touching one — the
-    deadline hook; an exception it raises propagates to the caller.
-    [obs] (default disabled) records per-segment decode spans and
-    per-sub-group stitch spans into buffers indexed
-    [span_index_base + segment]/[span_index_base + segments + sub-group]
-    — merged by index, so jobs=N telemetry structure equals
-    sequential — plus the [analyze_segments_total] counter and the
-    stitch-wait histogram.  Raises [Invalid_argument] if
-    [segment_steps < 1] or the configs are not
-    {!Analyze.compatible}. *)
-
-val sink :
-  ?pool:Stdx.Pool.t ->
-  ?obs:Obs.Ctx.t ->
-  ?span_index_base:int ->
-  ?workload:string ->
-  ?check:(unit -> unit) ->
-  segment_steps:int ->
-  Analyze.config list ->
-  Program_info.t ->
-  Vm.Trace.sink
-  * (?completeness:Pipeline_error.completeness -> unit -> outcome)
-(** Streaming form, the segmented analogue of {!Analyze.sink_many}:
-    feed the sink from a live VM execution — filled segments are
-    handed to pool domains for decoding without blocking retirement —
-    then call finish, which stitches (and tags results with the
-    execution's completeness).  Semantics otherwise as {!run}. *)
+(** {!sink} fed from a recorded trace on the calling domain. *)

@@ -272,9 +272,9 @@ let handle_analyze t conn ~id ~started (a : Protocol.analyze) =
         try
           match
             (* The request already occupies a pool slot; handing it the
-               pool lets segmented analysis fan its decode/stitch tasks
-               out to idle domains (nested submissions are safe — pool
-               awaiters help drain the queue). *)
+               pool lets the segment pipeline apply on idle domains
+               while this one runs the VM (its await helps drain the
+               queue, so the nested wait cannot deadlock). *)
             Harness.Request.exec ~obs:t.obs ~flat:ad.ad_flat
               ?fuel:ad.ad_fuel ?step_budget:ad.ad_step_budget
               ?mem_words:ad.ad_mem_words ?deadline_ms:ad.ad_deadline_ms

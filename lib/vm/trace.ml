@@ -85,8 +85,7 @@ let iter f t =
     t
 
 (* Segments: fixed-stride slices of a trace, each owning plain int
-   arrays so a filled segment can be handed to another domain without
-   sharing the trace's chunks. *)
+   arrays rather than sharing the trace's chunks. *)
 
 type seg = {
   seg_index : int;
@@ -95,37 +94,6 @@ type seg = {
   seg_pcs : int array;
   seg_auxs : int array;
 }
-
-let segmenting_sink ~steps ~emit =
-  if steps < 1 then invalid_arg "Trace.segmenting_sink: steps must be >= 1";
-  let index = ref 0 in
-  let base = ref 0 in
-  let len = ref 0 in
-  let pcs = ref (Array.make steps 0) in
-  let auxs = ref (Array.make steps 0) in
-  let flush () =
-    if !len > 0 then begin
-      emit
-        { seg_index = !index;
-          seg_base = !base;
-          seg_len = !len;
-          seg_pcs = !pcs;
-          seg_auxs = !auxs };
-      incr index;
-      base := !base + !len;
-      len := 0;
-      pcs := Array.make steps 0;
-      auxs := Array.make steps 0
-    end
-  in
-  { on_entry =
-      (fun ~pc ~aux ->
-        let i = !len in
-        !pcs.(i) <- pc;
-        !auxs.(i) <- aux;
-        len := i + 1;
-        if i + 1 = steps then flush ());
-    on_close = flush }
 
 (* Copies entries [pos .. pos + len - 1] to [pcs]/[auxs] from index 0,
    one chunk span at a time.  A typed loop, not [Array.blit]: segment

@@ -80,11 +80,9 @@ val iter_chunks :
     must not write to the arrays or keep them past the trace. *)
 
 (** A fixed-stride slice of a trace.  Entries [seg_base ..
-    seg_base + seg_len - 1] of the stream live at indices [0 ..
+    seg_base + seg_len - 1] of the trace live at indices [0 ..
     seg_len - 1] of [seg_pcs]/[seg_auxs].  The arrays are owned by the
-    segment (never aliased with a trace's chunks), so a filled
-    segment is safe to hand to another domain; [seg_len] may be
-    shorter than the arrays for the final partial segment. *)
+    segment (never aliased with a trace's chunks). *)
 type seg = {
   seg_index : int;
   seg_base : int;
@@ -92,16 +90,6 @@ type seg = {
   seg_pcs : int array;
   seg_auxs : int array;
 }
-
-val segmenting_sink : steps:int -> emit:(seg -> unit) -> sink
-(** A sink that buffers entries into segments of [steps] entries and
-    calls [emit] with each segment as it fills — plus a final partial
-    segment (if non-empty) on close.  [emit] runs on the producing
-    domain; retirement is never blocked beyond the [emit] call itself,
-    so an [emit] that merely enqueues the segment keeps the VM
-    streaming.  Segments arrive in index order with contiguous
-    [seg_base] ranges covering the stream exactly.  Raises
-    [Invalid_argument] if [steps < 1]. *)
 
 val segments : steps:int -> t -> seg array
 (** Slice a materialized trace into segments of [steps] entries (the

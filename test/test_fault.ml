@@ -290,6 +290,22 @@ let test_nonpositive_budgets () =
            [ w ]);
       expect "Request.exec budget" (budget b)
         (Harness.Request.exec ~step_budget:b ~specs:spec1 w))
+    [ 0; -3 ];
+  (* A segment stride below 1 is refused at every width, never run as
+     one-entry segments. *)
+  let stride n = Printf.sprintf "segment steps must be at least 1 (got %d)" n in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun jobs ->
+          expect "Run.exec segment steps" (stride n)
+            (Harness.Run.exec
+               (Harness.Run.config ~jobs ~fuel:20_000
+                  ~segment_steps:(`Steps n) spec1)
+               [ w ]))
+        [ 1; 2 ];
+      expect "Request.exec segment steps" (stride n)
+        (Harness.Request.exec ~segment_steps:(`Steps n) ~specs:spec1 w))
     [ 0; -3 ]
 
 let test_compile_error_typed () =

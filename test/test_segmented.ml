@@ -1,10 +1,11 @@
-(* Intra-trace parallel analysis (DESIGN.md §15): the segmented
-   decode/stitch path must be bit-identical to the sequential analyzer
-   for every machine spec, every segment stride, every pool width and
-   every trace shape — including truncated executions, step-budget
-   cuts, invalid pcs and collected segments.  Plus the building blocks:
-   trace segmentation coverage, pool futures, config compatibility and
-   the deterministic telemetry the segmented path emits. *)
+(* Intra-trace parallel analysis (DESIGN.md §15): the segment pipeline
+   must be bit-identical to the sequential analyzer for every machine
+   spec, every segment stride, every pool width and every trace shape —
+   including truncated executions, step-budget cuts, invalid pcs and
+   collected segments — and must never hold more than two segments.
+   Plus the building blocks: trace segmentation coverage, pool futures,
+   config compatibility and the deterministic telemetry the pipeline
+   emits. *)
 
 let pp_result fmt (r : Ilp.Analyze.result) =
   Format.fprintf fmt
@@ -99,30 +100,6 @@ let test_segments_cover () =
   check_coverage ~steps:1000 13;
   check_coverage ~steps:4 0
 
-let test_segmenting_sink_matches_segments () =
-  let n = 103 and steps = 10 in
-  let t = mk_trace n in
-  let emitted = ref [] in
-  let sink =
-    Vm.Trace.segmenting_sink ~steps ~emit:(fun s -> emitted := s :: !emitted)
-  in
-  Vm.Trace.iter sink.Vm.Trace.on_entry t;
-  sink.on_close ();
-  let streamed = Array.of_list (List.rev !emitted) in
-  let sliced = Vm.Trace.segments ~steps t in
-  Alcotest.(check int) "same segment count" (Array.length sliced)
-    (Array.length streamed);
-  Array.iteri
-    (fun k (a : Vm.Trace.seg) ->
-      let b = streamed.(k) in
-      Alcotest.(check int) "len" a.seg_len b.Vm.Trace.seg_len;
-      for i = 0 to a.seg_len - 1 do
-        if a.seg_pcs.(i) <> b.Vm.Trace.seg_pcs.(i)
-           || a.seg_auxs.(i) <> b.Vm.Trace.seg_auxs.(i)
-        then Alcotest.failf "segment %d entry %d diverged" k i
-      done)
-    sliced
-
 (* ------------------------------------------------------------------ *)
 (* Compatibility and stride selection. *)
 
@@ -141,15 +118,16 @@ let test_compatible () =
   Alcotest.(check bool) "mixed predictor names" false
     (Ilp.Analyze.compatible [ mk perfect; mk Predict.Predictor.always_taken ])
 
+(* The pipeline holds two segments, so the auto stride is one trace
+   chunk for every trace length and pool width. *)
 let test_auto_steps_bounds () =
-  Alcotest.(check int) "floor" 16_384
-    (Ilp.Segmented.auto_steps ~trace_len:1000 ~jobs:4);
-  Alcotest.(check int) "ceiling" 262_144
-    (Ilp.Segmented.auto_steps ~trace_len:100_000_000 ~jobs:2);
-  Alcotest.(check int) "interior" 31_250
-    (Ilp.Segmented.auto_steps ~trace_len:250_000 ~jobs:2);
-  Alcotest.(check bool) "always >= 1" true
-    (Ilp.Segmented.auto_steps ~trace_len:0 ~jobs:1 >= 1)
+  List.iter
+    (fun (trace_len, jobs) ->
+      Alcotest.(check int)
+        (Printf.sprintf "trace %d, jobs %d" trace_len jobs)
+        Vm.Trace.chunk_size
+        (Ilp.Segmented.auto_steps ~trace_len ~jobs))
+    [ (0, 1); (1000, 4); (250_000, 2); (100_000_000, 2) ]
 
 (* The stitch partition depends on the config count alone: contiguous
    sub-groups of at most four, as even as possible, covering every
@@ -184,17 +162,14 @@ let prepared_flat =
 let test_bad_args_raise () =
   let cfg = Ilp.Analyze.config Ilp.Machine.sp Predict.Predictor.perfect in
   let info = Ilp.Program_info.analyze_flat (Lazy.force prepared_flat) in
-  (match Ilp.Segmented.run ~segment_steps:0 [ cfg ] info (mk_trace 3) with
-  | _ -> Alcotest.fail "expected Invalid_argument for steps=0"
-  | exception Invalid_argument _ -> ());
-  match
-    Ilp.Segmented.run ~segment_steps:4
-      [ Ilp.Analyze.config Ilp.Machine.sp
-          (Predict.Predictor.two_bit ~n_static:8) ]
-      info (mk_trace 3)
-  with
-  | _ -> Alcotest.fail "expected Invalid_argument for stateful predictor"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun steps ->
+      match
+        Ilp.Segmented.run ~segment_steps:steps [ cfg ] info (mk_trace 3)
+      with
+      | _ -> Alcotest.failf "expected Invalid_argument for steps=%d" steps
+      | exception Invalid_argument _ -> ())
+    [ 0; -3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Bit-identity: Segmented.run == Analyze.run_many on real compiled
@@ -277,7 +252,7 @@ let test_identical_on_pool () =
 
 let test_identical_step_budget () =
   (* The budget cut must land on the same entry segmented or not, and
-     the Truncated tag must carry through the stitchers. *)
+     the Truncated tag must carry through the sub-group states. *)
   let _, lp = List.hd prepared in
   let ((p, _) as pt) = Lazy.force lp in
   List.iter
@@ -301,9 +276,9 @@ let test_identical_truncated_execution () =
 
 let test_invalid_pc_parity () =
   (* A hand-built trace wandering outside the code segment: the
-     sequential analyzer raises at the offending entry; the segmented
-     path must defer its decode marker to the same apply step and raise
-     the same exception. *)
+     sequential analyzer raises at the offending entry; the pipeline
+     must defer its decode marker to the same apply step and raise the
+     same exception. *)
   let p, _ = Lazy.force (snd (List.hd prepared)) in
   let configs = configs_for p ~collect:false ~step_budget:None in
   let t = Vm.Trace.create () in
@@ -315,24 +290,33 @@ let test_invalid_pc_parity () =
     | _ -> "no-raise"
     | exception Invalid_argument m -> m
   in
-  let seg =
-    match Ilp.Segmented.run ~segment_steps:2 configs p.Harness.info t with
+  let seg ?pool () =
+    match
+      Ilp.Segmented.run ?pool ~segment_steps:2 configs p.Harness.info t
+    with
     | _ -> "no-raise"
     | exception Invalid_argument m -> m
   in
-  Alcotest.(check string) "same Invalid_argument" seq seg;
+  Alcotest.(check string) "same Invalid_argument" seq (seg ());
   Alcotest.(check bool) "did raise" true (seq <> "no-raise");
   (* ...but a step budget that cuts before the bad entry means neither
      path ever applies it: no raise, identical truncated results.
      Budget 0 trips the guard on the very first entry, so the cut is
      guaranteed to land ahead of the invalid pc. *)
   let capped = configs_for p ~collect:false ~step_budget:(Some 0) in
-  check_identical ~segment_steps:2 ~name:"cut before invalid" (p, t) capped
+  check_identical ~segment_steps:2 ~name:"cut before invalid" (p, t) capped;
+  (* On a pool the raise happens in an apply task and reaches the
+     producer when it retires the segment. *)
+  Stdx.Pool.with_pool ~jobs:2 (fun pool ->
+      Alcotest.(check string) "same Invalid_argument on a pool" seq
+        (seg ~pool ());
+      check_identical ~pool ~segment_steps:2
+        ~name:"pooled cut before invalid" (p, t) capped)
 
 (* ------------------------------------------------------------------ *)
 (* Harness-level: heterogeneous spec lists (profile + perfect + the
-   stateful 2-bit, which must fall back to a sequential group) through
-   Run.on_prepared with segmentation on. *)
+   stateful 2-bit, whose groups the producer applies inline, in trace
+   order) through Run.on_prepared with segmentation on. *)
 
 let test_harness_mixed_predictors () =
   let p, _ = Lazy.force (snd (List.nth prepared 2)) in
@@ -400,25 +384,64 @@ let test_obs_deterministic () =
   let expect = (Vm.Trace.length trace + 59) / 60 in
   Alcotest.(check (option int)) "analyze_segments_total" (Some expect)
     segments_total;
-  Alcotest.(check bool) "stitch-wait histogram registered" true
+  Alcotest.(check bool) "stall histogram registered" true
+    (List.exists
+       (fun (s : Obs.Metrics.snap) -> s.name = "analyze_segment_stall_ns")
+       snap_seq);
+  (* Without a pool each segment applies inline before the next fills. *)
+  Alcotest.(check bool) "one segment live at a time un-pooled" true
     (List.exists
        (fun (s : Obs.Metrics.snap) ->
-         s.name = "analyze_segment_stitch_wait_ns")
+         s.name = "analyze_segments_live_max"
+         && s.value = Obs.Metrics.Gauge 1)
        snap_seq)
 
+(* The pipeline's memory bound, pinned: gcc at its default fuel (1.38M
+   entries) replayed through Run.exec with [`Auto] on two domains
+   passes more segments than the bound, yet never has more than two
+   live — one applying while the VM fills the next. *)
+let test_two_segments_live () =
+  let obs = Obs.Ctx.create ~registry:(Obs.Metrics.create ()) () in
+  let cfg =
+    Harness.Run.config ~jobs:2 ~segment_steps:`Auto ~obs
+      (List.map Harness.spec Ilp.Machine.all_paper)
+  in
+  (match Harness.Run.exec cfg [ Workloads.Registry.find "gcc" ] with
+  | Ok [ { Harness.Run.it_outcome = Ok _; _ } ] -> ()
+  | _ -> Alcotest.fail "gcc replay failed");
+  let value name =
+    List.find_map
+      (fun (s : Obs.Metrics.snap) ->
+        if s.name = name then Some s.value else None)
+      (Obs.Ctx.snapshot obs)
+  in
+  (match value "analyze_segments_total" with
+  | Some (Obs.Metrics.Counter n) ->
+    Alcotest.(check bool) (Printf.sprintf "%d segments > 2" n) true (n > 2)
+  | _ -> Alcotest.fail "analyze_segments_total missing");
+  match value "analyze_segments_live_max" with
+  | Some (Obs.Metrics.Gauge n) ->
+    Alcotest.(check int) "live segments high-water" 2 n
+  | _ -> Alcotest.fail "analyze_segments_live_max missing"
+
+(* The deadline hook's exception reaches the caller inline, and on a
+   pool, where it may be raised in an apply task. *)
 let test_check_hook_propagates () =
   let p, trace = Lazy.force (snd (List.hd prepared)) in
   let configs = configs_for p ~collect:false ~step_budget:None in
-  let calls = ref 0 in
-  let check () =
-    incr calls;
-    if !calls > 2 then failwith "deadline!"
+  let run ?pool () =
+    let calls = Atomic.make 0 in
+    let check () =
+      if Atomic.fetch_and_add calls 1 >= 2 then failwith "deadline!"
+    in
+    match
+      Ilp.Segmented.run ?pool ~check ~segment_steps:30 configs p.info trace
+    with
+    | _ -> Alcotest.fail "expected the check hook's exception"
+    | exception Failure m -> Alcotest.(check string) "hook exn" "deadline!" m
   in
-  match
-    Ilp.Segmented.run ~check ~segment_steps:30 configs p.info trace
-  with
-  | _ -> Alcotest.fail "expected the check hook's exception"
-  | exception Failure m -> Alcotest.(check string) "hook exn" "deadline!" m
+  run ();
+  Stdx.Pool.with_pool ~jobs:2 (fun pool -> run ~pool ())
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: random stride x pool width x machine-lattice point, on all
@@ -544,7 +567,7 @@ let prop_group_equals_singles =
       alone = by_run_many && alone = by_sink && alone = by_segmented)
 
 (* All ten registry workloads, truncated by a small fuel, through the
-   harness segmented path on a pool — the acceptance sweep. *)
+   harness segment pipeline on a pool — the acceptance sweep. *)
 let test_all_workloads_identical () =
   let fuel = 30_000 in
   let specs = List.map Harness.spec Ilp.Machine.all_paper in
@@ -570,8 +593,6 @@ let suite =
       test_future_helping_narrow_pool;
     Alcotest.test_case "segments cover the trace exactly" `Quick
       test_segments_cover;
-    Alcotest.test_case "segmenting sink == slicing" `Quick
-      test_segmenting_sink_matches_segments;
     Alcotest.test_case "config compatibility" `Quick test_compatible;
     Alcotest.test_case "auto stride bounds" `Quick test_auto_steps_bounds;
     Alcotest.test_case "stitch sub-groups" `Quick test_subgroups;
@@ -593,6 +614,8 @@ let suite =
       test_obs_deterministic;
     Alcotest.test_case "check hook propagates" `Quick
       test_check_hook_propagates;
+    Alcotest.test_case "gcc pipeline: at most two segments live" `Quick
+      test_two_segments_live;
     QCheck_alcotest.to_alcotest prop_segmented_equals_sequential;
     QCheck_alcotest.to_alcotest prop_group_equals_singles;
     Alcotest.test_case "all workloads: segmented == sequential" `Slow
