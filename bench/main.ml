@@ -44,7 +44,6 @@ let machine_names = List.map (fun (m : Ilp.Machine.t) -> m.name) machines
 type ctx = {
   fuel : int option;  (* --fuel; None runs each workload's own *)
   jobs : int;
-  segmenting : Harness.segmenting;  (* segment-scaling's stride policy *)
   needs : (string, Harness.spec list) Hashtbl.t;  (* workload -> specs *)
   want_rates : bool;  (* some experiment reads [rates] *)
   results : (string * string, Ilp.Analyze.result) Hashtbl.t;
@@ -699,18 +698,17 @@ let scaling ctx =
    not to flatter. *)
 let segment_scaling ctx =
   let w = Workloads.Registry.find "gcc" in
-  let run ~jobs ~segmenting =
+  let run ~jobs ~segment_steps =
     counted_exec
-      (Harness.Run.config ~jobs ?fuel:ctx.fuel ~segment_steps:segmenting
-         spec7)
+      (Harness.Run.config ~jobs ?fuel:ctx.fuel ~segment_steps spec7)
       [ w ]
   in
   (* The reference: the ordinary un-segmented sequential pipeline. *)
-  let seq, seq_wall, seq_counts, _ = run ~jobs:1 ~segmenting:`Off in
+  let seq, seq_wall, seq_counts, _ = run ~jobs:1 ~segment_steps:`Off in
   let points =
     List.map
       (fun jobs ->
-        let par, wall, counts, segs = run ~jobs ~segmenting:ctx.segmenting in
+        let par, wall, counts, segs = run ~jobs ~segment_steps:`Auto in
         (* Structural equality covers every result field; the counter
            tuple (entries, state entries, executions) excludes the
            segment counter, which only the segmented runs advance. *)
@@ -744,7 +742,7 @@ let segment_scaling ctx =
             Printf.sprintf
               "--jobs %d segmented run diverged from the sequential run" jobs
           );
-          ( jobs > 1 && ctx.segmenting <> `Off && segs = 0,
+          ( jobs > 1 && segs = 0,
             Printf.sprintf "--jobs %d pipelined no segments" jobs ) ])
     points
 
@@ -1054,7 +1052,7 @@ let default_experiments =
 (* ------------------------------------------------------------------ *)
 (* Driver: one context, one prefill, every experiment, exit status. *)
 
-let context ~fuel ~jobs ~segmenting selected =
+let context ~fuel ~jobs selected =
   let needs = Hashtbl.create 16 in
   List.iter
     (fun e ->
@@ -1065,7 +1063,7 @@ let context ~fuel ~jobs ~segmenting selected =
         e.needs)
     selected;
   Hashtbl.filter_map_inplace (fun _ specs -> Some (dedup_specs specs)) needs;
-  { fuel; jobs; segmenting; needs;
+  { fuel; jobs; needs;
     want_rates = List.exists (fun e -> e.rates) selected;
     results = Hashtbl.create 256;
     stats = Hashtbl.create 16;
@@ -1073,14 +1071,13 @@ let context ~fuel ~jobs ~segmenting selected =
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--fuel N] [--jobs N] [--segment-steps N|auto] \
-     [--list] [experiment ...]\n\
+    "usage: main.exe [--fuel N] [--jobs N] [--list] [experiment ...]\n\
      With no experiment names, runs everything except `scaling` and \
      `segment-scaling`.";
   exit 1
 
-(* The bench's --jobs and --segment-steps take the CLI's parsers, so a
-   bad value is the same typed error with the same exit code. *)
+(* The bench's --jobs takes the CLI's parser, so a bad value is the
+   same typed error with the same exit code. *)
 let or_exit = function
   | Ok v -> v
   | Error e ->
@@ -1089,7 +1086,6 @@ let or_exit = function
 
 let () =
   let fuel = ref None and jobs = ref None in
-  let segmenting : Harness.segmenting ref = ref `Auto in
   let rec parse names = function
     | [] -> List.rev names
     | "--list" :: _ ->
@@ -1105,10 +1101,7 @@ let () =
       | Some j -> jobs := Some (or_exit (Cli.Parallel.validate_jobs j))
       | None -> usage ());
       parse names rest
-    | "--segment-steps" :: s :: rest ->
-      segmenting := or_exit (Cli.Parallel.segmenting_of_flag (Some s));
-      parse names rest
-    | ("--fuel" | "--jobs" | "--segment-steps") :: [] -> usage ()
+    | ("--fuel" | "--jobs") :: [] -> usage ()
     | name :: rest -> parse (name :: names) rest
   in
   let names = parse [] (List.tl (Array.to_list Sys.argv)) in
@@ -1133,8 +1126,7 @@ let () =
         names
   in
   let ctx =
-    context ~fuel:!fuel ~jobs:(Cli.Parallel.resolve_jobs !jobs)
-      ~segmenting:!segmenting selected
+    context ~fuel:!fuel ~jobs:(Cli.Parallel.resolve_jobs !jobs) selected
   in
   prefill ctx;
   let violations =

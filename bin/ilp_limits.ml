@@ -48,12 +48,6 @@ let fault_of_name name =
          { name;
            hint = Pipeline_error.suggest name Fault.Injector.kind_names })
 
-(* The parallelism flags (--jobs / --segment-steps) are
-   declared and validated once in Cli.Parallel, shared with serve and
-   the bench; every malformed value is a typed Invalid_request, exit
-   code 2. *)
-let segmenting_of_flag = Cli.Parallel.segmenting_of_flag
-
 (* ------------------------------------------------------------------ *)
 
 let cmd_list () =
@@ -189,10 +183,9 @@ let obs_report ~trace_out ~metrics ~prom_out obs =
   end
 
 let cmd_run names machine_names no_inline no_unroll fuel step_budget
-    mem_words deadline_ms jobs segment_steps trace_out metrics prom_out =
+    mem_words deadline_ms jobs split_trace trace_out metrics prom_out =
   let* ws = workloads_of_names names in
   let* machines = Ilp.Machine.of_specs machine_names in
-  let* segment_steps = segmenting_of_flag segment_steps in
   let header =
     "Program"
     :: List.map (fun (m : Ilp.Machine.t) -> m.name) machines
@@ -210,10 +203,13 @@ let cmd_run names machine_names no_inline no_unroll fuel step_budget
      a single pass, holding O(program) state whatever the fuel; with
      more than one worker domain, whole workloads also fan out over a
      pool, merged back in workload order so the table is identical for
-     every --jobs value. *)
+     every --jobs value; --split-trace splits each workload's replay
+     across the pool instead. *)
   let cfg =
     Harness.Run.config ~jobs ?fuel ?step_budget ?mem_words
-      ?deadline_ms ~obs ~segment_steps specs
+      ?deadline_ms ~obs
+      ~segment_steps:(if split_trace then `Auto else `Off)
+      specs
   in
   let* items = Harness.Run.exec cfg ws in
   let* per_workload =
@@ -349,9 +345,7 @@ let cmd_blocks name =
 let cmd_check names fuel dynamic warnings_too strict disabled fmt trace_out
     metrics prom_out =
   let* ws = workloads_of_names names in
-  let config =
-    { Cfg.Engine.default_config with disabled; strict }
-  in
+  let config = { Cfg.Engine.disabled; strict } in
   let obs = obs_ctx trace_out metrics prom_out in
   let* results =
     map_result (fun w -> Harness.check ~config ~obs ?fuel ~dynamic w) ws
@@ -732,9 +726,8 @@ let supervise cfg =
 
 let cmd_serve socket tcp jobs queue_limit cache_capacity admit
     max_fuel max_step_budget default_deadline_ms idle_timeout_ms
-    retry_after_ms segment_steps supervise_flag =
+    retry_after_ms split_trace supervise_flag =
   let* admission = parse_admission admit in
-  let* segment_steps = segmenting_of_flag segment_steps in
   let* jobs = Cli.Parallel.validate_jobs (Cli.Parallel.resolve_jobs jobs) in
   let* tcp =
     match tcp with
@@ -746,7 +739,7 @@ let cmd_serve socket tcp jobs queue_limit cache_capacity admit
   let cfg =
     Serve.Server.config ?tcp ~jobs ?queue_limit ?cache_capacity
       ~admission ?max_fuel ?max_step_budget ?default_deadline_ms
-      ?idle_timeout_ms ?retry_after_ms ~segment_steps ~socket_path:socket ()
+      ?idle_timeout_ms ?retry_after_ms ~split_trace ~socket_path:socket ()
   in
   if supervise_flag then supervise cfg else serve_once cfg
 
@@ -834,7 +827,7 @@ let workloads_arg =
          ~doc:"Workload to use (repeatable; default: all).")
 
 let jobs_arg = Cli.Parallel.jobs_arg
-let segment_steps_arg = Cli.Parallel.segment_steps_arg ()
+let split_trace_arg = Cli.Parallel.split_trace_arg ()
 
 let trace_out_arg =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
@@ -927,7 +920,7 @@ let run_cmd =
           handle (cmd_run ws ms ni nu f sb mw dl j ss tr mx pr))
       $ workloads_arg $ machines $ no_inline $ no_unroll $ fuel
       $ step_budget $ mem_words $ deadline_ms $ jobs_arg
-      $ segment_steps_arg $ trace_out_arg $ metrics_arg
+      $ split_trace_arg $ trace_out_arg $ metrics_arg
       $ prom_out_arg)
 
 let stats_cmd =
@@ -1143,14 +1136,13 @@ let serve_cmd =
            ~doc:"Backoff hint carried by overloaded responses (default \
                  50).")
   in
-  let segment_steps =
-    Cli.Parallel.segment_steps_arg
+  let split_trace =
+    Cli.Parallel.split_trace_arg
       ~doc:
-        "Replay each request through a pipeline of $(docv)-instruction \
-         segments: the request's domain runs the VM while idle worker \
-         domains apply the previous segment, at most two segments at a \
-         time (replies stay bit-identical to un-segmented analysis; \
-         $(b,auto) is one 16384-entry trace chunk)."
+        "Split each request's trace across the pool: the request's \
+         domain runs the VM while idle worker domains apply the \
+         previous 16384-entry segment, at most two segments at a time \
+         (replies stay bit-identical to unsplit analysis)."
       ()
   in
   let supervise =
@@ -1173,7 +1165,7 @@ let serve_cmd =
       $ socket_arg
       $ tcp_arg ~doc:"Also listen on HOST:PORT."
       $ jobs_arg $ queue_limit $ cache $ admit $ max_fuel
-      $ max_step_budget $ deadline $ idle $ retry_after $ segment_steps
+      $ max_step_budget $ deadline $ idle $ retry_after $ split_trace
       $ supervise)
 
 let client_cmd =

@@ -94,5 +94,3 @@ let analyze flat =
   let rdf = Array.make (Array.length graph.blocks) [||] in
   Array.iter (fun v -> proc_rdf v rdf) views;
   { graph; views; reaching; loops; rdf }
-
-let rdf_of_pc t pc = t.rdf.(t.graph.block_of.(pc))

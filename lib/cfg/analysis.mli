@@ -17,7 +17,3 @@ type t = {
 }
 
 val analyze : Asm.Program.flat -> t
-
-val rdf_of_pc : t -> int -> int array
-(** Immediate control-dependence branch blocks of the block containing an
-    instruction. *)

@@ -4,12 +4,6 @@ type klass =
   | Data_dependent
   | Unreachable
 
-let klass_name = function
-  | Decided _ -> "decided"
-  | Loop_exit _ -> "loop-exit"
-  | Data_dependent -> "data"
-  | Unreachable -> "unreachable"
-
 type branch = { b_pc : int; b_proc : int; b_class : klass }
 
 type t = {

@@ -30,10 +30,6 @@ type klass =
   | Unreachable
     (** the branch's block is never executed (SCCP-pruned) *)
 
-val klass_name : klass -> string
-(** Stable short tag: ["decided"], ["loop-exit"], ["data"],
-    ["unreachable"]. *)
-
 type branch = { b_pc : int; b_proc : int; b_class : klass }
 
 type t = {

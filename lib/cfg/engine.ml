@@ -53,11 +53,10 @@ type pass = {
 
 type config = {
   disabled : string list;
-  severities : (string * severity) list;
   strict : bool;
 }
 
-let default_config = { disabled = []; severities = []; strict = false }
+let default_config = { disabled = []; strict = false }
 
 type timing = { t_pass : string; t_ns : int64; t_diags : int }
 
@@ -94,11 +93,9 @@ let run ?(obs = Obs.Ctx.disabled) ?(config = default_config)
   let n_total = ref 0 in
   let run_pass p =
     let eff =
-      match List.assoc_opt p.p_name config.severities with
-      | Some s -> s
-      | None -> p.p_severity
+      if config.strict && p.p_severity = Warning then Error
+      else p.p_severity
     in
-    let eff = if config.strict && eff = Warning then Error else eff in
     let before = !n_total in
     let emit ~pc message =
       let in_range = pc >= 0 && pc < n_code in
@@ -169,13 +166,6 @@ let pp_diag ppf d =
   Format.fprintf ppf "%s: %s: pc %d (block %d) [%s]: %s | %s"
     (severity_name d.d_severity)
     d.d_proc_name d.d_pc d.d_block d.d_pass d.d_message d.d_disasm
-
-let render_text ppf r =
-  List.iter (fun d -> Format.fprintf ppf "%a@." pp_diag d) r.diags;
-  Format.fprintf ppf "%d error%s, %d warning%s@." r.n_errors
-    (if r.n_errors = 1 then "" else "s")
-    r.n_warnings
-    (if r.n_warnings = 1 then "" else "s")
 
 module Jsonx = Stdx.Jsonx
 

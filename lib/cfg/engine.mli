@@ -2,10 +2,9 @@
 
     A {!pass} is a named analysis over an {!Analysis.t} that emits
     diagnostics at program points; the engine runs a list of passes
-    under a {!config} (per-pass enable and severity overrides, strict
-    mode), in the order given, and returns one deterministic
-    {!report}: diagnostics sorted by (procedure, pc, pass name), with
-    per-pass wall-clock timings.
+    under a {!config} (per-pass enable, strict mode), in the order
+    given, and returns one deterministic {!report}: diagnostics sorted
+    by (procedure, pc, pass name), with per-pass wall-clock timings.
 
     Passes share expensive analyses through the {!ctx} they receive:
     SCCP results, uninitialized-read facts and liveness are computed
@@ -27,7 +26,7 @@ type diag = {
   d_proc_name : string;
   d_pc : int;
   d_block : int;  (** global block id; [-1] if out of range *)
-  d_severity : severity;  (** effective severity, after config/strict *)
+  d_severity : severity;  (** effective severity, after strict *)
   d_pass : string;
   d_message : string;
   d_disasm : string;
@@ -55,12 +54,11 @@ type pass = {
 
 type config = {
   disabled : string list;  (** pass names to skip *)
-  severities : (string * severity) list;  (** per-pass overrides *)
-  strict : bool;  (** promote warnings to errors (after overrides) *)
+  strict : bool;  (** promote warnings to errors *)
 }
 
 val default_config : config
-(** Everything enabled, default severities, not strict. *)
+(** Everything enabled, not strict. *)
 
 type timing = {
   t_pass : string;
@@ -91,9 +89,6 @@ val max_severity : report -> severity option
 val pp_diag : Format.formatter -> diag -> unit
 (** One line:
     [error: main: pc 3 (block 0) [uninit-read]: message | disasm]. *)
-
-val render_text : Format.formatter -> report -> unit
-(** Every diagnostic, one per line, plus a summary line. *)
 
 val to_json : report -> Stdx.Jsonx.t
 (** The report as one JSON value:

@@ -6,11 +6,6 @@ let meet a b =
   | Const a, Const b when a = b -> Const a
   | Bot, _ | _, Bot | Const _, Const _ -> Bot
 
-let pp_value ppf = function
-  | Top -> Format.pp_print_string ppf "T"
-  | Const c -> Format.fprintf ppf "%d" c
-  | Bot -> Format.pp_print_string ppf "_"
-
 type t = {
   view : View.t;
   entry : value array array;  (* local block -> state at entry *)
@@ -18,7 +13,6 @@ type t = {
   exec : bool array;  (* local block executable *)
   edges : (int * int, unit) Hashtbl.t;  (* (src local, dst local) *)
   decided : (int, bool option) Hashtbl.t;  (* branch term pc -> taken *)
-  jtabs : (int, int option) Hashtbl.t;  (* jtab term pc -> index *)
 }
 
 let get state r = if r = 0 then Const 0 else state.(r)
@@ -98,15 +92,12 @@ let out_edges t state (blk : Graph.block) =
     | Jtab (rs, table) -> (
       match get state rs with
       | Const i when i >= 0 && i < Array.length table ->
-        Hashtbl.replace t.jtabs term_pc (Some i);
         [ g.block_of.(table.(i)) ]
       | Const _ ->
         (* constant out-of-range selector: the VM faults here, so no
            successor ever executes along this edge *)
-        Hashtbl.replace t.jtabs term_pc None;
         []
       | Top | Bot ->
-        Hashtbl.replace t.jtabs term_pc None;
         Array.to_list table
         |> List.map (fun tgt -> g.block_of.(tgt))
         |> List.sort_uniq compare)
@@ -137,8 +128,7 @@ let analyze (view : View.t) ~entry_zeroed =
       exit_ = Array.init n (fun _ -> Array.make Risc.Reg.n_unified Top);
       exec = Array.make n false;
       edges = Hashtbl.create 64;
-      decided = Hashtbl.create 16;
-      jtabs = Hashtbl.create 4 }
+      decided = Hashtbl.create 16 }
   in
   let queue = Queue.create () in
   let queued = Array.make n false in
@@ -213,8 +203,6 @@ let executable t l = t.exec.(l)
 
 let edge_executable t ~src ~dst = Hashtbl.mem t.edges (src, dst)
 
-let entry_state t l = t.entry.(l)
-
 let exit_state t l = t.exit_.(l)
 
 let value_at t ~l ~pc ~reg =
@@ -233,11 +221,6 @@ let value_at t ~l ~pc ~reg =
 let decided_branch t ~pc =
   match Hashtbl.find_opt t.decided pc with
   | Some (Some taken) -> Some taken
-  | _ -> None
-
-let decided_jtab t ~pc =
-  match Hashtbl.find_opt t.jtabs pc with
-  | Some (Some i) -> Some i
   | _ -> None
 
 let n_decided t =

@@ -29,8 +29,6 @@ type value = Top | Const of int | Bot
 
 val meet : value -> value -> value
 
-val pp_value : Format.formatter -> value -> unit
-
 type t
 
 val analyze : View.t -> entry_zeroed:bool -> t
@@ -50,10 +48,6 @@ val edge_executable : t -> src:int -> dst:int -> bool
 (** Executability of the local CFG edge [src -> dst].  [false] for
     edges that exist in the view but were pruned (or never reached). *)
 
-val entry_state : t -> int -> value array
-(** Register state at block entry (meet over executable in-edges).
-    Indexed by unified register id; do not mutate. *)
-
 val exit_state : t -> int -> value array
 
 val value_at : t -> l:int -> pc:int -> reg:int -> value
@@ -63,10 +57,6 @@ val value_at : t -> l:int -> pc:int -> reg:int -> value
 val decided_branch : t -> pc:int -> bool option
 (** For a conditional-branch terminator at [pc] in an executable
     block: [Some taken] when the condition folds to a constant. *)
-
-val decided_jtab : t -> pc:int -> int option
-(** For a computed-jump terminator: the constant, in-range table index
-    when the selector folds. *)
 
 val n_decided : t -> int
 (** Number of decided conditional branches (diagnostic count). *)

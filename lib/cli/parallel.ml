@@ -1,24 +1,8 @@
-let err cause = Error (Pipeline_error.v Execute cause)
-
 let resolve_jobs = function
   | Some j -> j
   | None -> Stdx.Pool.recommended_jobs ()
 
 let validate_jobs = Harness.validate_jobs
-
-let segmenting_of_flag = function
-  | None -> Ok `Off
-  | Some "auto" -> Ok `Auto
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok (`Steps n)
-      | _ ->
-          err
-            (Invalid_request
-               (Printf.sprintf
-                  "segment-steps must be a positive integer or \"auto\" \
-                   (got %S)"
-                  s)))
 
 open Cmdliner
 
@@ -33,16 +17,12 @@ let jobs_arg =
            the calling domain).  Output is bit-identical for every \
            value of N.")
 
-let default_segment_doc =
-  "Replay each workload's trace through a pipeline of \
-   $(docv)-instruction segments when $(b,--jobs) is above 1: the VM \
-   fills one segment while the pool applies the previous one, at most \
-   two segments at a time, so even a single workload keeps two domains \
-   busy.  $(b,auto) is one 16384-entry trace chunk.  Results are \
-   bit-identical to the un-segmented run."
+let default_split_doc =
+  "Split each workload's trace across the pool when $(b,--jobs) is \
+   above 1: the VM fills one 16384-entry segment while the pool \
+   applies the previous one, at most two segments at a time, so even a \
+   single workload keeps two domains busy.  Results are bit-identical \
+   to the unsplit run."
 
-let segment_steps_arg ?(doc = default_segment_doc) () =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "segment-steps" ] ~docv:"N|auto" ~doc)
+let split_trace_arg ?(doc = default_split_doc) () =
+  Arg.(value & flag & info [ "split-trace" ] ~doc)

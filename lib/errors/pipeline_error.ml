@@ -38,10 +38,6 @@ type completeness =
   | Complete
   | Truncated of fault_info
 
-let pp_completeness ppf = function
-  | Complete -> Format.fprintf ppf "complete"
-  | Truncated f -> Format.fprintf ppf "truncated: %a" pp_fault f
-
 let completeness_tag = function
   | Complete -> "complete"
   | Truncated f -> fault_kind_name f.f_kind

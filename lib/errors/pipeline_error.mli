@@ -48,8 +48,6 @@ type completeness =
   | Complete
   | Truncated of fault_info
 
-val pp_completeness : Format.formatter -> completeness -> unit
-
 val completeness_tag : completeness -> string
 (** Short table/JSON tag: ["complete"], or the fault-kind name. *)
 

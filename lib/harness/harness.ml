@@ -313,28 +313,10 @@ let configs_of_specs ?(obs = Obs.Ctx.disabled) ?value_table ~flat ~info
     specs
 
 (* ------------------------------------------------------------------ *)
-(* Intra-trace segmentation (DESIGN.md §15): whether a replay runs
-   through the segment pipeline, and at what stride. *)
+(* Intra-trace segmentation (DESIGN.md §15): whether [Run.exec] hands
+   its pool to each replay. *)
 
-type segmenting = [ `Off | `Auto | `Steps of int ]
-
-let check_segment_steps = function
-  | `Steps n when n < 1 -> Error (below_one "segment steps" n)
-  | _ -> Ok ()
-
-(* The pipeline engages only when there are domains to feed.  A stride
-   never exceeds the trace, so an oversized one costs no memory.  A
-   stride below 1 raises, with the typed error's message. *)
-let resolve_segment_steps ~trace_len ~jobs (s : segmenting) =
-  (match check_segment_steps s with
-  | Error { Pipeline_error.cause = Invalid_request msg; _ } -> invalid_arg msg
-  | _ -> ());
-  match s with
-  | `Off -> None
-  | _ when jobs <= 1 -> None
-  | `Steps n -> Some (min n (max 1 trace_len))
-  | `Auto ->
-    Some (min (Ilp.Segmented.auto_steps ~trace_len ~jobs) (max 1 trace_len))
+type segmenting = [ `Off | `Auto ]
 
 module Run = struct
   type config = {
@@ -361,13 +343,15 @@ module Run = struct
 
   (* The replay: execute the prepared program again, with the same fuel
      and memory, so it retires the same entries, straight into every
-     analysis state.  Nothing is recorded.  A deadline rides the replay's
-     observe hook and, when pipelined, the per-segment check; the last
-     partial chunk is analyzed at close, after the last observe call, so
-     the clock is checked once more after [finish]. *)
+     analysis state.  Nothing is recorded.  A pool wider than one domain
+     pipelines it, one chunk per segment (cut to the trace, so a short
+     one costs no memory): this domain runs the VM and the pool applies.
+     A deadline rides the replay's observe hook and, when pipelined, the
+     per-segment check; the last partial chunk is analyzed at close,
+     after the last observe call, so the clock is checked once more
+     after [finish]. *)
   let on_prepared ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled)
-      ?pool ?(segmenting = `Off) ?(jobs = 1) ?(task_index = 0) ?deadline p
-      specs =
+      ?pool ?(task_index = 0) ?deadline p specs =
     let name = p.workload.Workloads.Registry.name in
     Option.iter Obs.Deadline.check deadline;
     Obs.Span.with_span span_buf ~workload:name "analyze" (fun () ->
@@ -383,22 +367,24 @@ module Run = struct
             ~profile:p.profile specs
         in
         let sink, finish =
-          match resolve_segment_steps ~trace_len:p.steps ~jobs segmenting with
-          | None -> Ilp.Analyze.sink_many configs p.info
-          | Some segment_steps ->
+          match pool with
+          | Some pool when Stdx.Pool.jobs pool > 1 ->
             let check =
               Option.map (fun d () -> Obs.Deadline.check d) deadline
             in
             let sink, finish =
-              Ilp.Segmented.sink ?pool ~obs
+              Ilp.Segmented.sink ~pool ~obs
                 ~span_index_base:((task_index + 1) * 100_000_000)
-                ~workload:name ?check ~segment_steps configs p.info
+                ~workload:name ?check
+                ~segment_steps:(min Vm.Trace.chunk_size (max 1 p.steps))
+                configs p.info
             in
             ( sink,
               fun ?completeness () ->
                 let o = finish ?completeness () in
                 Counters.record_segments o.Ilp.Segmented.segments;
                 o.Ilp.Segmented.results )
+          | _ -> Ilp.Analyze.sink_many configs p.info
         in
         let o =
           Vm.Exec.run ?mem_words:p.mem_words ~fuel:p.fuel ~record:false
@@ -424,7 +410,6 @@ module Run = struct
   let exec cfg ws =
     let* jobs = validate_jobs cfg.jobs in
     let* () = check_fuel cfg.fuel in
-    let* () = check_segment_steps cfg.segment_steps in
     let* specs = inherit_step_budget cfg.step_budget cfg.specs in
     let task ?pool (i, w) =
       let name = w.Workloads.Registry.name in
@@ -444,8 +429,7 @@ module Run = struct
             in
             deadline_guard ~workload:name Execute (fun () ->
                 Ok
-                  (on_prepared ~obs:cfg.obs ~span_buf ?pool
-                     ~segmenting:cfg.segment_steps ~jobs ~task_index:i
+                  (on_prepared ~obs:cfg.obs ~span_buf ?pool ~task_index:i
                      ?deadline p specs)))
       in
       { it_workload = w; it_outcome = outcome }
@@ -454,9 +438,10 @@ module Run = struct
     (* Un-segmented, a workload is one task, so domains beyond the
        workload count would idle.  Pipelined, the workloads run one
        after another on this domain, each the producer of its own
-       replay, and the pool runs only their apply tasks: no task awaits
-       another, and one workload's two segments are all that is live. *)
-    let pipelined = cfg.segment_steps <> `Off && jobs > 1 in
+       replay, and the pool — handed to the replay, so it pipelines —
+       runs only their apply tasks: no task awaits another, and one
+       workload's two segments are all that is live. *)
+    let pipelined = cfg.segment_steps = `Auto && jobs > 1 in
     let width =
       if pipelined then jobs else min jobs (List.length indexed)
     in
@@ -464,8 +449,8 @@ module Run = struct
     else
       Ok
         (Stdx.Pool.with_pool ~jobs:width (fun pool ->
-             if pipelined then List.map (fun iw -> task ~pool iw) indexed
-             else Stdx.Pool.map_list pool (fun iw -> task ~pool iw) indexed))
+             if pipelined then List.map (task ~pool) indexed
+             else Stdx.Pool.map_list pool (fun iw -> task iw) indexed))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -478,8 +463,8 @@ end
    [(sink, states, finish)]: [states] analysis states advance on the
    sink, and [finish] receives the completeness and returns the
    sequential results plus anything else the caller analyzed. *)
-let injected_run ?deadline ?mem_words ~obs ~fuel ~machine ~seed ~kind
-    ~analyze flat =
+let injected_run ?deadline ?mem_words ?step_budget ~obs ~fuel ~machine
+    ~seed ~kind ~analyze flat =
   let metrics =
     if Obs.Ctx.enabled obs then Some (Obs.Ctx.metrics obs) else None
   in
@@ -493,7 +478,7 @@ let injected_run ?deadline ?mem_words ~obs ~fuel ~machine ~seed ~kind
   let cfg =
     Ilp.Analyze.config
       ~mem_words:(Option.value mem_words ~default:Vm.Exec.default_mem_words)
-      machine predictor
+      ?step_budget machine predictor
   in
   let sink, states, finish = analyze cfg info in
   let outcome =
@@ -533,15 +518,17 @@ module Request = struct
   }
 
   let exec ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled) ?flat
-      ?fuel ?step_budget ?mem_words ?deadline_ms ?inject ?pool
-      ?(segment_steps = `Off) ~specs w =
-    let jobs =
-      match pool with Some p -> Stdx.Pool.jobs p | None -> 1
-    in
+      ?fuel ?step_budget ?mem_words ?deadline_ms ?inject ?pool ~specs w =
     let name = w.Workloads.Registry.name in
     let* fuel = resolve_fuel w fuel in
+    (* An injected run analyzes the first spec alone, by default the
+       paper's SP-CD-MF; it inherits the request's budget like any. *)
+    let specs =
+      match (inject, specs) with
+      | Some _, [] -> [ spec Ilp.Machine.sp_cd_mf ]
+      | _ -> specs
+    in
     let* specs = inherit_step_budget step_budget specs in
-    let* () = check_segment_steps segment_steps in
     let* mem_words = validated_mem_words ~workload:name mem_words in
     (* The clock starts before compilation: a cache miss spends budget
        compiling, a hit keeps it all for execution. *)
@@ -561,14 +548,11 @@ module Request = struct
             Option.iter Obs.Deadline.check deadline;
             match inject with
             | Some (kind, seed) ->
-              let machine =
-                match specs with
-                | s :: _ -> s.s_machine
-                | [] -> Ilp.Machine.sp_cd_mf
-              in
+              let s = List.hd specs in
               let _, outcome, (r_results, ()) =
-                injected_run ?deadline ?mem_words ~obs ~fuel ~machine ~seed
-                  ~kind ~analyze:analyze_one flat
+                injected_run ?deadline ?mem_words ?step_budget:s.s_step_budget
+                  ~obs ~fuel ~machine:s.s_machine ~seed ~kind
+                  ~analyze:analyze_one flat
               in
               Ok
                 { r_flat = flat; r_results; r_steps = outcome.steps;
@@ -580,8 +564,7 @@ module Request = struct
                   ?deadline ~fuel w flat
               in
               let r_results =
-                Run.on_prepared ~obs ~span_buf ?pool ~segmenting:segment_steps
-                  ~jobs ?deadline p specs
+                Run.on_prepared ~obs ~span_buf ?pool ?deadline p specs
               in
               Ok
                 { r_flat = flat; r_results; r_steps = p.steps;

@@ -194,17 +194,15 @@ val specs_need_values : spec list -> bool
     {!Run.exec} derives this itself; it is exposed for drivers that
     call {!prepare} directly (the bench store). *)
 
-(** Intra-trace segmentation policy (DESIGN.md §15).  [`Off]: each
-    workload's trace is analyzed sequentially (parallelism across
-    workloads only).  [`Steps n]: at [jobs > 1], replay through the
-    {!Ilp.Segmented} pipeline in [n]-entry segments, each applied on
-    the pool while the VM fills the next.  [`Auto]: the same at
-    {!Ilp.Segmented.auto_steps}'s stride.  At [jobs = 1] both replay
-    as [`Off] does.  A stride below 1 is a typed [Invalid_request]
-    ("segment steps must be at least 1 (got N)", exit code 2).
-    Results are bit-identical across all three for every machine
-    spec. *)
-type segmenting = [ `Off | `Auto | `Steps of int ]
+(** Intra-trace segmentation policy of {!Run.exec} (DESIGN.md §15).
+    [`Off]: each workload's trace is analyzed sequentially
+    (parallelism across workloads only).  [`Auto]: at [jobs > 1], the
+    pool is handed to each replay, which {!Run.on_prepared} then
+    pipelines through {!Ilp.Segmented}, one trace chunk per segment,
+    each applied on the pool while the VM fills the next.  At
+    [jobs = 1] both replay as [`Off] does.  Results are bit-identical
+    either way for every machine spec. *)
+type segmenting = [ `Off | `Auto ]
 
 (** The unified run API.  One config, one [exec], uniform per-workload
     outcomes. *)
@@ -229,12 +227,12 @@ module Run : sig
     obs : Obs.Ctx.t;  (** observability context; {!Obs.Ctx.disabled}
                           costs the hot loops one bool test *)
     segment_steps : segmenting;
-    (** intra-trace sharding policy.  Anything but [`Off] makes
-        [jobs > 1] parallelize {e within} each workload's trace: the
-        workloads replay one after another on the calling domain, each
-        pipelined across the pool (apply tasks per segment and
-        sub-group), so a single workload keeps two domains busy and
-        holds two segments.  [`Off] parallelizes across workloads
+    (** intra-trace sharding policy.  [`Auto] makes [jobs > 1]
+        parallelize {e within} each workload's trace: the workloads
+        replay one after another on the calling domain, each handed
+        the pool and so pipelined across it (apply tasks per segment
+        and sub-group), so a single workload keeps two domains busy
+        and holds two segments.  [`Off] parallelizes across workloads
         only, on a pool of [min jobs workloads] domains. *)
   }
 
@@ -284,8 +282,6 @@ module Run : sig
     ?obs:Obs.Ctx.t ->
     ?span_buf:Obs.Span.buffer ->
     ?pool:Stdx.Pool.t ->
-    ?segmenting:segmenting ->
-    ?jobs:int ->
     ?task_index:int ->
     ?deadline:Obs.Deadline.t ->
     prepared ->
@@ -302,13 +298,15 @@ module Run : sig
       check; expiry raises {!Obs.Deadline.Expired}, which {!exec} and
       {!Request.exec} turn into the typed [Deadline_exceeded].
 
-      [segmenting] (default [`Off]) replays through the segment
-      pipeline of DESIGN.md §15 when [jobs] (default 1) is above 1,
-      with this call's domain as the producer; [pool] hosts the apply
-      tasks (absent: every task runs inline, same results), and
+      A [pool] wider than one domain is the switch for the segment
+      pipeline of DESIGN.md §15: the replay runs through
+      {!Ilp.Segmented}, one trace chunk per segment (cut to the trace),
+      with this call's domain as the producer and the pool hosting the
+      apply tasks, and adds its hand-offs to {!Counters.segments}.
+      Without one, or with a one-domain pool, it replays through
+      {!Ilp.Analyze.sink_many}; results are bit-identical either way.
       [task_index] namespaces the per-segment span buffers so
-      workloads never collide.  A [`Steps] stride below 1 raises
-      [Invalid_argument]. *)
+      workloads never collide. *)
 end
 
 (** Request-shaped entry point: one workload, per-request quotas, an
@@ -337,7 +335,6 @@ module Request : sig
     ?deadline_ms:int ->
     ?inject:Fault.Injector.kind * int ->
     ?pool:Stdx.Pool.t ->
-    ?segment_steps:segmenting ->
     specs:spec list ->
     Workloads.Registry.t ->
     (reply, Pipeline_error.t) result
@@ -357,16 +354,16 @@ module Request : sig
 
       [inject (kind, seed)] runs the deterministically perturbed
       pipeline instead: single execution, btfn prediction (no training
-      pass), the first spec's machine (default [sp_cd_mf]), the
-      injector's observe hook chained with the deadline's.
+      pass), the first spec's machine and step budget (default
+      [sp_cd_mf] under the request's [step_budget]), the injector's
+      observe hook chained with the deadline's.
 
-      [segment_steps] (default [`Off]) analyzes via the segment
-      pipeline of DESIGN.md §15 when [pool] is wider than one domain:
-      this request's domain runs the VM and the pool applies each
-      segment's sub-groups.  Deadline expiry still lands as
-      [Deadline_exceeded]: the check hook runs per segment on the
-      producer and in every apply task, and propagates through the
-      futures.  A [`Steps] stride below 1 is [Invalid_request]. *)
+      A [pool] wider than one domain analyzes via the segment pipeline
+      of DESIGN.md §15, as in {!Run.on_prepared}: this request's
+      domain runs the VM and the pool applies each segment's
+      sub-groups.  Deadline expiry still lands as [Deadline_exceeded]:
+      the check hook runs per segment on the producer and in every
+      apply task, and propagates through the futures. *)
 end
 
 (** Outcome of running the static verifier (and optionally the dynamic
@@ -393,10 +390,10 @@ val check :
   Workloads.Registry.t ->
   (check_result, Pipeline_error.t) result
 (** Compile a workload and run every {!Cfg.Verify.passes} pass through
-    {!Cfg.Engine.run} over it ([config] selects passes, severity
-    overrides and strict mode; [obs] records per-pass spans and
-    metrics).  With [~dynamic:true] the program is also executed (up
-    to [fuel] instructions, default the workload's own budget) with
+    {!Cfg.Engine.run} over it ([config] selects passes and strict
+    mode; [obs] records per-pass spans and metrics).  With
+    [~dynamic:true] the program is also executed (up to [fuel]
+    instructions, default the workload's own budget) with
     {!Cfg.Verify.Dynamic} attached as trace sink and observe hook,
     cross-checking every retired instruction against the static facts.
     Total: a fuel below 1 is [Invalid_request] (with or without

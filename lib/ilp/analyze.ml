@@ -45,8 +45,8 @@ let decode_groups configs =
   List.map (fun (_, is) -> List.rev is) groups
 
 (* Per-config masks over the packed Program_info flags.  Shared between
-   the state and the segment decoder so both classify entries with
-   exactly the same tests. *)
+   the state and [decoder] so both classify entries with exactly the
+   same tests. *)
 let removed_mask_of (cfg : config) =
   Program_info.f_stop
   lor (if cfg.inline then
@@ -563,9 +563,9 @@ module State = struct
      the entry's decoded word — the static flags plus the
      [b_mispred]/[b_invalid] markers — computed by {!classify} against
      the group's masks and predictor.  The fan-out classifies a chunk
-     per decode group and segmented analysis whole segments
-     concurrently; both replay [do_step] here in trace order, so every
-     path executes the identical transition sequence.  [classify]'s
+     per decode group, and segmented analysis a segment while the
+     previous one applies; both replay [do_step] here in trace order,
+     so every path executes the identical transition sequence.  [classify]'s
      bounds check on the trace-supplied [pc] (surfacing as
      [b_invalid]) proves every per-instruction table access below, so
      the rest of the step reads unsafely. *)
@@ -796,7 +796,8 @@ module State = struct
     end
 
   (* Classify entries [0 .. len - 1] into [bits] with the group's
-     masks and predictor, in trace order. *)
+     masks and predictor, in trace order.  Reads no mutable field, so
+     it may run while another domain applies to [g]. *)
   let decode g ~(pcs : int array) ~(auxs : int array) ~(bits : int array)
       ~len =
     let n_code = g.n_code and flags = g.flags in

@@ -39,10 +39,10 @@
     latencies the sequential cycles equal the number of counted
     instructions, exactly as in the paper.
 
-    Analysis is decode, then in-order apply.  The {!decoder} classifies
-    an entry (static flags plus the predicted branch direction) without
-    touching machine state; a {!State.t} applies classified entries in
-    trace order.  Any number of machine models advance over a single
+    Analysis is decode, then in-order apply.  {!State.decode} classifies
+    entries (static flags plus the predicted branch direction) without
+    touching machine times; {!State.apply} applies classified entries
+    in trace order.  Any number of machine models advance over a single
     trace pass ({!run_many}) or directly over a live VM execution
     ({!sink_many}), a chunk of {!Vm.Trace.chunk_size} entries at a
     time: each group of {!compatible} configs classifies the chunk once,
@@ -103,17 +103,16 @@ val decode_groups : config list -> int list list
     predictor is a group of its own. *)
 
 val decoder : config -> Program_info.t -> pc:int -> aux:int -> int
-(** State-free per-entry classification: the returned word packs the
-    static instruction's {!Program_info} flags plus a
-    mispredicted-branch marker (from the config's predictor) and an
-    invalid-pc marker.  Classification depends only on the config's
-    [inline]/[unroll] masks and its predictor — for a {e stateless}
-    predictor it is pure in [(pc, aux)], so entries may be classified
-    in any order (concurrently, per segment) and replayed through
-    {!State.step_bits} in trace order.  An out-of-range pc does not
-    raise here: the marker defers the [Invalid_argument] to the apply
-    step, preserving sequential semantics when a step budget cuts the
-    trace first. *)
+(** State-free per-entry classification, one entry of
+    {!State.decode}: the returned word packs the static instruction's
+    {!Program_info} flags plus a mispredicted-branch marker (from the
+    config's predictor) and an invalid-pc marker.  Classification
+    depends only on the config's [inline]/[unroll] masks and its
+    predictor — for a {e stateless} predictor it is pure in
+    [(pc, aux)].  An out-of-range pc does not raise here: the marker
+    defers the [Invalid_argument] to the apply step, preserving
+    sequential semantics when a step budget cuts the trace first.  No
+    library path calls it; it serves per-entry probes and tests. *)
 
 (** A run of counted instructions between two consecutive mispredicted
     branches (the closing branch included).  [length] is the paper's
@@ -160,13 +159,24 @@ module State : sig
 
   val step_bits : t -> pc:int -> aux:int -> bits:int -> unit
   (** Consume one trace entry, on every machine of the group, whose
-      classification [bits] was computed by the {!decoder} of a config
-      {!compatible} with the group's (or, for a stateful predictor, by
-      this config's own decoder, in trace order).  Entries must arrive
-      in trace order; each machine drops the entries past its config's
-      [step_budget].  This is the one per-entry transition:
+      classification [bits] was computed by {!decode} (or the
+      {!decoder} of a config {!compatible} with the group's; for a
+      stateful predictor, this config's own, in trace order).  Entries
+      must arrive in trace order; each machine drops the entries past
+      its config's [step_budget].  This is the one per-entry transition:
       {!run_many}, {!sink_many} and the segment pipeline all apply
       entries through it. *)
+
+  val decode :
+    t -> pcs:int array -> auxs:int array -> bits:int array -> len:int -> unit
+  (** Classify entries [0 .. len - 1] into [bits] with the group's
+      masks and predictor, in index order: the decode half of
+      {!sink_many}'s chunk fan-out, and the producer's classification
+      in {!Segmented}.  It reads only the group's masks, static tables
+      and predictor, never its times, so it may run while another
+      domain applies an earlier chunk to the same state.  A stateful
+      predictor trains as it classifies: its chunks must be decoded in
+      trace order, from one domain. *)
 
   val apply :
     t -> pcs:int array -> auxs:int array -> bits:int array -> len:int -> unit

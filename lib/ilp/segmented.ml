@@ -11,7 +11,6 @@
 type outcome = {
   results : Analyze.result list;
   segments : int;  (** segments applied *)
-  steps : int;  (** segment stride used *)
 }
 
 (* The pipeline's grain: one trace chunk, whatever the trace or the
@@ -32,11 +31,9 @@ let subgroups n =
       let lo = j * n / k and hi = (j + 1) * n / k in
       List.init (hi - lo) (fun i -> lo + i))
 
-(* One stitch sub-group.  [inline] for a stateful predictor's group,
-   which classifies in trace order and so applies on the producer. *)
+(* One stitch sub-group. *)
 type sub = {
   group : int;  (* its decode group, whose classification it applies *)
-  inline : bool;
   positions : int list;  (* its configs' positions *)
   state : Analyze.State.t;
   machines : string;  (* span label *)
@@ -53,7 +50,10 @@ type buffer = {
 type t = {
   pool : Stdx.Pool.t option;
   n_configs : int;
-  decoders : (pc:int -> aux:int -> int) array;  (* per decode group *)
+  classifiers : Analyze.State.t array;
+  (* Per decode group, its first sub-group's state: only the producer
+     decodes through it, reading the group's masks and predictor while
+     a pool task may be applying to its times. *)
   subs : sub array;  (* every decode group's, in order *)
   steps : int;
   bufs : buffer array;  (* segment k lives in [bufs.(k land 1)] *)
@@ -61,15 +61,14 @@ type t = {
   mutable cur_auxs : int array;
   mutable len : int;  (* entries in the segment being filled *)
   mutable n_segments : int;  (* segments handed off *)
-  mutable in_flight : unit Stdx.Pool.future list list;
-  (* The pool tasks of each segment handed off and not yet retired,
-     newest segment first, each in sub-group order. *)
+  mutable in_flight : unit Stdx.Pool.future list;
+  (* The pool tasks of the segment handed off last, in sub-group
+     order, until retired. *)
   obs : Obs.Ctx.t;
   span_base : int;
   workload : string;
   check : unit -> unit;
   (* Metrics, registered only on an enabled context. *)
-  m_segments : Obs.Metrics.counter option;
   m_stall : Obs.Metrics.histogram option;
   m_live : Obs.Metrics.gauge option;
 }
@@ -79,16 +78,13 @@ let create ?pool ?(obs = Obs.Ctx.disabled) ?(span_index_base = 0)
   if segment_steps < 1 then
     invalid_arg "Segmented.create: segment_steps must be >= 1";
   let cfgs = Array.of_list configs in
-  let groups = Analyze.decode_groups configs in
   let subs_of g positions =
-    let members = List.map (Array.get cfgs) positions in
-    let inline = not (Analyze.compatible members) in
     let pos = Array.of_list positions in
     List.map
       (fun ixs ->
         let positions = List.map (Array.get pos) ixs in
         let cs = List.map (Array.get cfgs) positions in
-        { group = g; inline; positions;
+        { group = g; positions;
           state = Analyze.State.group cs info;
           machines =
             String.concat "+"
@@ -97,6 +93,7 @@ let create ?pool ?(obs = Obs.Ctx.disabled) ?(span_index_base = 0)
                  cs) })
       (subgroups (Array.length pos))
   in
+  let groups = List.mapi subs_of (Analyze.decode_groups configs) in
   let buffer () =
     { pcs = Array.make segment_steps 0;
       auxs = Array.make segment_steps 0;
@@ -110,10 +107,9 @@ let create ?pool ?(obs = Obs.Ctx.disabled) ?(span_index_base = 0)
   in
   { pool;
     n_configs = Array.length cfgs;
-    decoders =
-      Array.of_list
-        (List.map (fun ps -> Analyze.decoder cfgs.(List.hd ps) info) groups);
-    subs = Array.of_list (List.concat (List.mapi subs_of groups));
+    classifiers =
+      Array.of_list (List.map (fun subs -> (List.hd subs).state) groups);
+    subs = Array.of_list (List.concat groups);
     steps = segment_steps;
     bufs;
     cur_pcs = bufs.(0).pcs;
@@ -125,11 +121,6 @@ let create ?pool ?(obs = Obs.Ctx.disabled) ?(span_index_base = 0)
     span_base = span_index_base;
     workload;
     check;
-    m_segments =
-      metric (fun reg ->
-          Obs.Metrics.counter reg
-            ~help:"trace segments applied through the replay pipeline"
-            "analyze_segments_total");
     m_stall =
       metric (fun reg ->
           Obs.Metrics.histogram reg
@@ -181,8 +172,7 @@ let retire t =
           | exception e when Option.is_none failure ->
             Some (e, Printexc.get_raw_backtrace ())
           | exception _ -> failure)
-        None
-        (List.concat (List.rev t.in_flight))
+        None t.in_flight
     in
     t.in_flight <- [];
     Option.iter
@@ -194,8 +184,8 @@ let retire t =
   end
 
 (* Hand the filled segment off: classify it once per decode group,
-   retire the previous segment, apply the inline sub-groups, and submit
-   one task per other sub-group.  The last sub-group goes first:
+   retire the previous segment, and submit one task per sub-group (or,
+   without a pool, apply them here).  The last sub-group goes first:
    thieves steal the oldest task, and the last sub-group is the
    largest, so the producer keeps a smaller one to help with after its
    next stretch of VM work.  [last] is the close: nothing fills after
@@ -209,35 +199,26 @@ let hand_off ?(last = false) t =
     Obs.Span.with_span (span_buffer t ~k ~slot:0) ~workload:t.workload
       "segment-decode" (fun () ->
         Array.iteri
-          (fun g decode ->
-            let bits = b.bits.(g) in
-            for i = 0 to len - 1 do
-              Array.unsafe_set bits i
-                (decode ~pc:(Array.unsafe_get b.pcs i)
-                   ~aux:(Array.unsafe_get b.auxs i))
-            done)
-          t.decoders);
+          (fun g st ->
+            Analyze.State.decode st ~pcs:b.pcs ~auxs:b.auxs ~bits:b.bits.(g)
+              ~len)
+          t.classifiers);
     retire t;
-    Array.iteri
-      (fun j s -> if s.inline || t.pool = None then apply t b ~k ~len j ())
-      t.subs;
     (match t.pool with
-    | None -> ()
+    | None -> Array.iteri (fun j _ -> apply t b ~k ~len j ()) t.subs
     | Some pool ->
-      let tasks = ref [] in
       for j = Array.length t.subs - 1 downto 0 do
-        if not t.subs.(j).inline then
-          tasks := Stdx.Pool.async pool (apply t b ~k ~len j) :: !tasks
-      done;
-      if !tasks <> [] then t.in_flight <- !tasks :: t.in_flight);
+        t.in_flight <-
+          Stdx.Pool.async pool (apply t b ~k ~len j) :: t.in_flight
+      done);
     t.n_segments <- k + 1;
-    Option.iter Obs.Metrics.incr t.m_segments;
-    (* Live now: the segments in flight and the one filling next — or
+    (* Live now: the segment in flight and the one filling next — or
        this one alone, while it applied inline. *)
     Option.iter
       (fun g ->
         Obs.Metrics.set_max g
-          (max 1 (List.length t.in_flight + if last then 0 else 1)))
+          (max 1
+             ((if t.in_flight = [] then 0 else 1) + if last then 0 else 1)))
       t.m_live;
     let next = t.bufs.((k + 1) land 1) in
     t.cur_pcs <- next.pcs;
@@ -267,8 +248,7 @@ let finish t ?completeness () =
         (Analyze.State.finish_group ?completeness s.state))
     t.subs;
   { results = Array.to_list (Array.map Option.get out);
-    segments = t.n_segments;
-    steps = t.steps }
+    segments = t.n_segments }
 
 let sink ?pool ?obs ?span_index_base ?workload ?check ~segment_steps
     configs info =

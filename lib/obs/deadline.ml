@@ -22,10 +22,6 @@ let elapsed_ms t =
   Int64.to_int
     (Int64.div (Int64.sub (Monotonic_clock.now ()) t.d_start_ns) 1_000_000L)
 
-let remaining_ms t =
-  Int64.to_int
-    (Int64.div (Int64.sub t.d_stop_ns (Monotonic_clock.now ())) 1_000_000L)
-
 let expired t = Monotonic_clock.now () >= t.d_stop_ns
 
 let check t =

@@ -24,9 +24,6 @@ val budget_ms : t -> int
 
 val elapsed_ms : t -> int
 
-val remaining_ms : t -> int
-(** Negative once expired. *)
-
 val expired : t -> bool
 
 val check : t -> unit

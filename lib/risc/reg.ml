@@ -47,7 +47,6 @@ let fsav i =
 let fscratch = 30
 let fscratch1 = 31
 
-let uid_of_int r = r
 let uid_of_float f = 32 + f
 let n_unified = 64
 

@@ -59,9 +59,6 @@ val fscratch : f (** codegen scratch, f30 *)
 
 val fscratch1 : f (** codegen scratch, f31 *)
 
-val uid_of_int : t -> int
-(** Unified id of an integer register (identity). *)
-
 val uid_of_float : f -> int
 (** Unified id of a float register ([32 + f]). *)
 

@@ -16,20 +16,20 @@ type config = {
   idle_timeout_ms : int option;
   retry_after_ms : int;
   registry : Obs.Metrics.t;
-  segment_steps : Harness.segmenting;
+  split_trace : bool;
 }
 
 let config ?tcp ?jobs ?(queue_limit = 64) ?(cache_capacity = 32)
     ?(admission = Admit_off) ?(max_fuel = 100_000_000)
     ?(max_step_budget = 100_000_000) ?default_deadline_ms ?idle_timeout_ms
     ?(retry_after_ms = 50) ?(registry = Obs.Metrics.global)
-    ?(segment_steps = `Off) ~socket_path () =
+    ?(split_trace = false) ~socket_path () =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Stdx.Pool.recommended_jobs ()
   in
   { socket_path; tcp; jobs; queue_limit; cache_capacity;
     admission; max_fuel; max_step_budget; default_deadline_ms;
-    idle_timeout_ms; retry_after_ms; registry; segment_steps }
+    idle_timeout_ms; retry_after_ms; registry; split_trace }
 
 (* One client connection.  [c_pending] counts replies still owed by
    pool jobs; the reader thread waits for it to reach zero before
@@ -271,16 +271,17 @@ let handle_analyze t conn ~id ~started (a : Protocol.analyze) =
            the barrier is belt and braces *)
         try
           match
-            (* The request already occupies a pool slot; handing it the
-               pool lets the segment pipeline apply on idle domains
-               while this one runs the VM (its await helps drain the
-               queue, so the nested wait cannot deadlock). *)
+            (* The request already occupies a pool slot; with
+               [split_trace], handing it the pool lets the segment
+               pipeline apply on idle domains while this one runs the
+               VM (its await helps drain the queue, so the nested wait
+               cannot deadlock). *)
             Harness.Request.exec ~obs:t.obs ~flat:ad.ad_flat
               ?fuel:ad.ad_fuel ?step_budget:ad.ad_step_budget
               ?mem_words:ad.ad_mem_words ?deadline_ms:ad.ad_deadline_ms
-              ?inject:ad.ad_inject ~pool:t.pool
-              ~segment_steps:t.cfg.segment_steps ~specs:ad.ad_specs
-              ad.ad_workload
+              ?inject:ad.ad_inject
+              ?pool:(if t.cfg.split_trace then Some t.pool else None)
+              ~specs:ad.ad_specs ad.ad_workload
           with
           | Ok reply ->
             Obs.Metrics.incr t.m_ok;

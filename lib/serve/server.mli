@@ -54,10 +54,10 @@ type config = {
       (** self-drain after this long with no connections and no work *)
   retry_after_ms : int;  (** hint carried by [Overloaded] responses *)
   registry : Obs.Metrics.t;  (** serve_* metrics land here *)
-  segment_steps : Harness.segmenting;
-      (** intra-trace segmentation for request analysis (DESIGN.md
-          §15).  Anything but [`Off] lets a single large request fan
-          its trace across idle pool domains — results stay
+  split_trace : bool;
+      (** hand each request the pool, so its replay runs through the
+          segment pipeline (DESIGN.md §15): a single large request
+          fans its trace across idle pool domains — results stay
           bit-identical, so cached and fresh replies still agree. *)
 }
 
@@ -73,7 +73,7 @@ val config :
   ?idle_timeout_ms:int ->
   ?retry_after_ms:int ->
   ?registry:Obs.Metrics.t ->
-  ?segment_steps:Harness.segmenting ->
+  ?split_trace:bool ->
   socket_path:string ->
   unit ->
   config
@@ -81,7 +81,7 @@ val config :
     [queue_limit] = 64, [cache_capacity] = 32, admission off,
     [max_fuel] = 100_000_000, [max_step_budget] = 100_000_000, no
     default deadline, no idle timeout, [retry_after_ms] = 50,
-    [registry] = {!Obs.Metrics.global}, segmentation off. *)
+    [registry] = {!Obs.Metrics.global}, trace split off. *)
 
 type t
 

@@ -1,6 +1,6 @@
 (* Diagnostics-engine framework tests: configuration (disable,
-   severity override, strict), deterministic ordering, JSON rendering,
-   timings, and observability wiring. *)
+   strict), deterministic ordering, JSON rendering, timings, and
+   observability wiring. *)
 
 module I = Risc.Insn
 module P = Asm.Program
@@ -49,21 +49,6 @@ let test_disable () =
     (List.mem "unreachable-block" (passes_hit r));
   Alcotest.(check bool) "disabled pass is not timed" false
     (List.exists (fun (t : E.timing) -> t.t_pass = "dead-store") r.timings)
-
-let test_severity_override () =
-  let config =
-    { E.default_config with severities = [ ("dead-store", E.Error) ] }
-  in
-  let r = run ~config warny in
-  Alcotest.(check bool) "override produces errors" true (r.n_errors > 0);
-  Alcotest.(check bool) "max severity is error" true
-    (E.max_severity r = Some E.Error);
-  List.iter
-    (fun (d : E.diag) ->
-      if d.d_pass = "dead-store" then
-        Alcotest.(check bool) "dead-store diag is an error" true
-          (d.d_severity = E.Error))
-    r.diags
 
 let test_strict () =
   let r = run ~config:{ E.default_config with strict = true } warny in
@@ -156,7 +141,6 @@ let test_metrics_and_spans () =
 let suite =
   [ Alcotest.test_case "baseline run" `Quick test_baseline;
     Alcotest.test_case "disable a pass" `Quick test_disable;
-    Alcotest.test_case "severity override" `Quick test_severity_override;
     Alcotest.test_case "strict promotion" `Quick test_strict;
     Alcotest.test_case "deterministic ordering" `Quick test_ordering;
     Alcotest.test_case "per-pass timings" `Quick test_timings;

@@ -291,22 +291,37 @@ let test_nonpositive_budgets () =
       expect "Request.exec budget" (budget b)
         (Harness.Request.exec ~step_budget:b ~specs:spec1 w))
     [ 0; -3 ];
-  (* A segment stride below 1 is refused at every width, never run as
-     one-entry segments. *)
-  let stride n = Printf.sprintf "segment steps must be at least 1 (got %d)" n in
+  (* An injected request with no spec analyzes SP-CD-MF under the
+     request's own budget, refused like any other. *)
   List.iter
-    (fun n ->
-      List.iter
-        (fun jobs ->
-          expect "Run.exec segment steps" (stride n)
-            (Harness.Run.exec
-               (Harness.Run.config ~jobs ~fuel:20_000
-                  ~segment_steps:(`Steps n) spec1)
-               [ w ]))
-        [ 1; 2 ];
-      expect "Request.exec segment steps" (stride n)
-        (Harness.Request.exec ~segment_steps:(`Steps n) ~specs:spec1 w))
+    (fun b ->
+      expect "Request.exec injected budget" (budget b)
+        (Harness.Request.exec ~step_budget:b
+           ~inject:(Fault.Injector.Bit_flip, 3) ~specs:[] w))
     [ 0; -3 ]
+
+(* An injected request's analysis stops at its step budget, as an
+   un-injected one does: for every fault kind, with the budget on the
+   request (inherited by its spec) and with no spec at all. *)
+let test_inject_step_budget () =
+  let w = Workloads.Registry.find "awk" in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (what, specs) ->
+          let what = Fault.Injector.kind_name kind ^ " " ^ what in
+          match
+            Harness.Request.exec ~fuel:50_000 ~step_budget:10
+              ~inject:(kind, 3) ~specs w
+          with
+          | Ok { Harness.Request.r_results = [ r ]; _ } ->
+            Alcotest.(check int) (what ^ " counted") 10 r.counted;
+            Alcotest.(check string) (what ^ " completeness") "step_budget"
+              (E.completeness_tag r.completeness)
+          | Ok _ -> Alcotest.fail (what ^ ": not one result")
+          | Error e -> Alcotest.fail (what ^ ": " ^ E.to_string e))
+        [ ("spec", spec1); ("no spec", []) ])
+    Fault.Injector.all_kinds
 
 let test_compile_error_typed () =
   let bad = faulty_workload "bad" "int main(void) { return 1 +; }" in
@@ -438,6 +453,8 @@ let suite =
       test_compile_error_typed;
     Alcotest.test_case "non-positive fuel and step budgets are typed"
       `Quick test_nonpositive_budgets;
+    Alcotest.test_case "injected request honours its step budget" `Quick
+      test_inject_step_budget;
     Alcotest.test_case "inject is deterministic" `Quick
       test_inject_deterministic;
     Alcotest.test_case "inject kinds behave" `Quick test_inject_kinds_behave;

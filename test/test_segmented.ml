@@ -2,10 +2,11 @@
    must be bit-identical to the sequential analyzer for every machine
    spec, every segment stride, every pool width and every trace shape —
    including truncated executions, step-budget cuts, invalid pcs and
-   collected segments — and must never hold more than two segments.
-   Plus the building blocks: trace segmentation coverage, pool futures,
-   config compatibility and the deterministic telemetry the pipeline
-   emits. *)
+   collected segments — and must never hold more than two segments;
+   the harness pipelines exactly when handed a pool wider than one
+   domain.  Plus the building blocks: trace segmentation coverage, pool
+   futures, config compatibility and the deterministic telemetry the
+   pipeline emits. *)
 
 let pp_result fmt (r : Ilp.Analyze.result) =
   Format.fprintf fmt
@@ -314,12 +315,26 @@ let test_invalid_pc_parity () =
         ~name:"pooled cut before invalid" (p, t) capped)
 
 (* ------------------------------------------------------------------ *)
-(* Harness-level: heterogeneous spec lists (profile + perfect + the
-   stateful 2-bit, whose groups the producer applies inline, in trace
-   order) through Run.on_prepared with segmentation on. *)
+(* Harness-level: the pool is the switch.  fib(15)'s trace (about 33k
+   entries) crosses two segment boundaries at the one-chunk stride. *)
 
+let long_calls =
+  lazy
+    (Harness.prepare_source ~name:"long-calls"
+       {|int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
+         int main(void) { return fib(15); }|})
+
+(* The segments a call adds to the pipeline counter, with its result. *)
+let counting_segments f =
+  let g0 = Harness.Counters.segments () in
+  let r = f () in
+  (r, Harness.Counters.segments () - g0)
+
+(* Heterogeneous spec lists (profile + perfect + the stateful 2-bit,
+   whose groups the producer classifies in trace order and the pool
+   applies like any other) through Run.on_prepared on a pool. *)
 let test_harness_mixed_predictors () =
-  let p, _ = Lazy.force (snd (List.nth prepared 2)) in
+  let p = Lazy.force long_calls in
   let specs =
     [ Harness.spec Ilp.Machine.sp_cd_mf;
       Harness.spec ~predictor:`Two_bit Ilp.Machine.sp_cd_mf;
@@ -329,29 +344,65 @@ let test_harness_mixed_predictors () =
   in
   let seq = Harness.Run.on_prepared p specs in
   Stdx.Pool.with_pool ~jobs:3 (fun pool ->
-      let seg =
-        Harness.Run.on_prepared ~pool ~segmenting:(`Steps 40) ~jobs:3 p
-          specs
+      let seg, n =
+        counting_segments (fun () -> Harness.Run.on_prepared ~pool p specs)
       in
-      Alcotest.(check (list result_t)) "mixed specs identical" seq seg)
+      Alcotest.(check (list result_t)) "mixed specs identical" seq seg;
+      Alcotest.(check bool) (Printf.sprintf "%d segments > 1" n) true (n > 1))
 
+(* On a pool the replay's stride is one chunk cut to the trace: a
+   short trace is one segment, a longer one a segment per chunk. *)
 let test_harness_auto_resolution () =
-  let p, _ = Lazy.force (snd (List.hd prepared)) in
   let specs = [ Harness.spec Ilp.Machine.sp_cd_mf ] in
-  let seq = Harness.Run.on_prepared p specs in
-  (* `Auto with jobs=1 degrades to the sequential path; with jobs>1 it
-     picks a stride — results identical either way. *)
-  let auto1 = Harness.Run.on_prepared ~segmenting:`Auto ~jobs:1 p specs in
   Stdx.Pool.with_pool ~jobs:2 (fun pool ->
-      let auto2 =
-        Harness.Run.on_prepared ~pool ~segmenting:`Auto ~jobs:2 p specs
+      List.iter
+        (fun (name, (p : Harness.prepared)) ->
+          let seq = Harness.Run.on_prepared p specs in
+          let seg, n =
+            counting_segments (fun () ->
+                Harness.Run.on_prepared ~pool p specs)
+          in
+          Alcotest.(check (list result_t)) (name ^ " identical") seq seg;
+          Alcotest.(check int) (name ^ " segments")
+            ((p.steps + Vm.Trace.chunk_size - 1) / Vm.Trace.chunk_size)
+            n)
+        (("long-calls", Lazy.force long_calls)
+        :: List.map (fun (name, lp) -> (name, fst (Lazy.force lp))) prepared))
+
+(* Run.on_prepared and Request.exec pipeline exactly when handed a
+   pool wider than one domain, and return the same results every
+   way. *)
+let test_pool_is_the_switch () =
+  let p = Lazy.force long_calls in
+  let specs = List.map Harness.spec Ilp.Machine.all_paper in
+  let w = Workloads.Registry.find "awk" in
+  let request pool =
+    match Harness.Request.exec ~fuel:40_000 ?pool ~specs w with
+    | Ok r -> r.Harness.Request.r_results
+    | Error e -> Alcotest.fail (Pipeline_error.to_string e)
+  in
+  List.iter
+    (fun (what, run) ->
+      let on jobs =
+        Stdx.Pool.with_pool ~jobs (fun pool ->
+            counting_segments (fun () -> run (Some pool)))
       in
-      Alcotest.(check (list result_t)) "auto jobs=1" seq auto1;
-      Alcotest.(check (list result_t)) "auto jobs=2" seq auto2)
+      let plain, n0 = counting_segments (fun () -> run None) in
+      let narrow, n1 = on 1 in
+      let wide, n2 = on 2 in
+      Alcotest.(check int) (what ^ ": no pool, no segments") 0 n0;
+      Alcotest.(check int) (what ^ ": one-domain pool, no segments") 0 n1;
+      Alcotest.(check bool) (what ^ ": two-domain pool pipelines") true
+        (n2 > 1);
+      Alcotest.(check (list result_t)) (what ^ ": one domain") plain narrow;
+      Alcotest.(check (list result_t)) (what ^ ": two domains") plain wide)
+    [ ("on_prepared", fun pool -> Harness.Run.on_prepared ?pool p specs);
+      ("Request.exec", request) ]
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: segment spans merge deterministically (same skeleton with
-   and without a pool) and the segment counter/histogram register. *)
+   and without a pool), the outcome counts the hand-offs, and the stall
+   histogram and live-segment gauge register. *)
 
 let test_obs_deterministic () =
   let skeleton_of run =
@@ -361,10 +412,12 @@ let test_obs_deterministic () =
   in
   let p, trace = Lazy.force (snd (List.hd prepared)) in
   let configs = configs_for p ~collect:false ~step_budget:None in
+  let segments = ref 0 in
   let run ?pool obs =
-    ignore
+    segments :=
       (Ilp.Segmented.run ?pool ~obs ~span_index_base:100 ~workload:"w"
          ~completeness:p.completeness ~segment_steps:60 configs p.info trace)
+        .segments
   in
   let sk_seq, snap_seq = skeleton_of (fun obs -> run obs) in
   let sk_par, _ =
@@ -373,17 +426,9 @@ let test_obs_deterministic () =
   in
   Alcotest.(check bool) "span skeleton scheduling-independent" true
     (sk_seq = sk_par);
-  let segments_total =
-    List.find_map
-      (fun (s : Obs.Metrics.snap) ->
-        match (s.name, s.value) with
-        | "analyze_segments_total", Obs.Metrics.Counter n -> Some n
-        | _ -> None)
-      snap_seq
-  in
-  let expect = (Vm.Trace.length trace + 59) / 60 in
-  Alcotest.(check (option int)) "analyze_segments_total" (Some expect)
-    segments_total;
+  Alcotest.(check int) "segments"
+    ((Vm.Trace.length trace + 59) / 60)
+    !segments;
   Alcotest.(check bool) "stall histogram registered" true
     (List.exists
        (fun (s : Obs.Metrics.snap) -> s.name = "analyze_segment_stall_ns")
@@ -406,20 +451,20 @@ let test_two_segments_live () =
     Harness.Run.config ~jobs:2 ~segment_steps:`Auto ~obs
       (List.map Harness.spec Ilp.Machine.all_paper)
   in
-  (match Harness.Run.exec cfg [ Workloads.Registry.find "gcc" ] with
+  let outcome, n =
+    counting_segments (fun () ->
+        Harness.Run.exec cfg [ Workloads.Registry.find "gcc" ])
+  in
+  (match outcome with
   | Ok [ { Harness.Run.it_outcome = Ok _; _ } ] -> ()
   | _ -> Alcotest.fail "gcc replay failed");
-  let value name =
+  Alcotest.(check bool) (Printf.sprintf "%d segments > 2" n) true (n > 2);
+  match
     List.find_map
       (fun (s : Obs.Metrics.snap) ->
-        if s.name = name then Some s.value else None)
+        if s.name = "analyze_segments_live_max" then Some s.value else None)
       (Obs.Ctx.snapshot obs)
-  in
-  (match value "analyze_segments_total" with
-  | Some (Obs.Metrics.Counter n) ->
-    Alcotest.(check bool) (Printf.sprintf "%d segments > 2" n) true (n > 2)
-  | _ -> Alcotest.fail "analyze_segments_total missing");
-  match value "analyze_segments_live_max" with
+  with
   | Some (Obs.Metrics.Gauge n) ->
     Alcotest.(check int) "live segments high-water" 2 n
   | _ -> Alcotest.fail "analyze_segments_live_max missing"
@@ -576,11 +621,12 @@ let test_all_workloads_identical () =
       let p = Harness.prepare ~fuel w in
       let seq = Harness.Run.on_prepared p specs in
       Stdx.Pool.with_pool ~jobs:4 (fun pool ->
-          let seg =
-            Harness.Run.on_prepared ~pool ~segmenting:(`Steps 4_096)
-              ~jobs:4 p specs
+          let seg, n =
+            counting_segments (fun () ->
+                Harness.Run.on_prepared ~pool p specs)
           in
-          Alcotest.(check (list result_t)) (w.name ^ ": segmented") seq seg))
+          Alcotest.(check (list result_t)) (w.name ^ ": segmented") seq seg;
+          Alcotest.(check int) (w.name ^ ": segments") 2 n))
     Workloads.Registry.all
 
 let suite =
@@ -610,6 +656,8 @@ let suite =
       test_harness_mixed_predictors;
     Alcotest.test_case "harness: auto stride resolution" `Quick
       test_harness_auto_resolution;
+    Alcotest.test_case "harness: the pool is the switch" `Quick
+      test_pool_is_the_switch;
     Alcotest.test_case "telemetry is scheduling-independent" `Quick
       test_obs_deterministic;
     Alcotest.test_case "check hook propagates" `Quick
