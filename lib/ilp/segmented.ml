@@ -186,10 +186,10 @@ let retire t =
 (* Hand the filled segment off: classify it once per decode group,
    retire the previous segment, and submit one task per sub-group (or,
    without a pool, apply them here).  The last sub-group goes first:
-   thieves steal the oldest task, and the last sub-group is the
-   largest, so the producer keeps a smaller one to help with after its
-   next stretch of VM work.  [last] is the close: nothing fills after
-   it. *)
+   a worker takes the oldest task and a helper the newest, and the last
+   sub-group is the largest, so the producer keeps a smaller one to
+   help with after its next stretch of VM work.  [last] is the close:
+   nothing fills after it. *)
 let hand_off ?(last = false) t =
   let len = t.len in
   if len > 0 then begin

@@ -55,27 +55,16 @@ val vm : ?sample_every:int -> Metrics.t -> vm
 (** Register the VM instruments.  [sample_every] (default 4096) is
     rounded up to a power of two. *)
 
-val pool : Metrics.t -> Stdx.Pool.probe
-(** Register the domain-pool instruments (idempotently, by name) and
-    return the probe callback {!Stdx.Pool.set_probe} expects:
+val pool_stats : Metrics.t -> Stdx.Pool.stats -> unit
+(** Publish a {!Stdx.Pool.stats} snapshot into the domain-pool
+    instruments, registering them (idempotently, by name) first:
 
     - [pool_tasks_submitted_total] / [pool_tasks_completed_total]
-    - [pool_queue_depth_highwater] (aggregate queued tasks across all
-      deques) and [pool_deque_depth_highwater] (deepest single deque —
-      the aggregate can be spread thin while one deque is deep)
-    - [pool_tasks_in_flight_highwater]
-    - [pool_steal_attempts_total] / [pool_steals_total] /
-      [pool_parks_total] / [pool_wakes_total]
+    - [pool_queue_depth_highwater] / [pool_tasks_in_flight_highwater]
+    - [pool_steal_attempts_total] / [pool_steals_total] (a worker's
+      looks at the queue and takes from it) / [pool_parks_total] /
+      [pool_wakes_total]
 
-    High-water gauges are max-updates and counters only increment, so
-    the instruments stay commutative and a quiescent pool's totals are
-    deterministic.  The callback may run under the pool's parking
-    lock or on a bare worker domain: it must stay non-blocking and
-    never re-enter the pool — atomic metric updates qualify. *)
-
-val pool_stats : Metrics.t -> Stdx.Pool.stats -> unit
-(** Publish a {!Stdx.Pool.stats} snapshot into the same named
-    instruments {!pool} registers (registering them first if needed):
-    gauges are max-merged, counters topped up to the pool's lifetime
-    totals.  This is the scrape path — serve's /metrics calls it so
-    pool gauges need no hand-wiring per caller. *)
+    Counters are raised to the pool's lifetime totals and gauges
+    max-merged, so publishing twice is harmless.  This is the one
+    publisher: serve's /metrics calls it on every scrape. *)

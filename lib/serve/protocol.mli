@@ -20,6 +20,7 @@
     {"id":N, "op":"analyze",
      "workload":"puzzle" | "source":"int main() { ... }",
      "machines":["sp-cd-mf","oracle"],      // optional, [] = paper 7
+                                            // (SP-CD-MF with "inject")
      "fuel":1000000, "step_budget":500000,  // optional quotas
      "mem_words":65536, "deadline_ms":2000, // optional quotas
      "inject":{"kind":"opcode","seed":7}}   // optional seeded fault
@@ -58,7 +59,9 @@ val write_frame : Unix.file_descr -> string -> (unit, string) result
 type analyze = {
   a_workload : string option;  (** registry name *)
   a_source : string option;  (** ad-hoc Mini-C (wins over [a_workload]) *)
-  a_machines : string list;  (** machine specs; [] = the paper seven *)
+  a_machines : string list;
+      (** machine specs; [] = the paper seven, or with [a_inject] the
+          injected default, SP-CD-MF *)
   a_fuel : int option;
   a_step_budget : int option;
   a_mem_words : int option;

@@ -246,7 +246,11 @@ let prepare t (a : Protocol.analyze) =
   in
   Ok
     { ad_workload = w; ad_flat = flat; ad_cached = cached;
-      ad_specs = List.map (fun m -> Harness.spec m) machines;
+      ad_specs =
+        (* An injected request without machines leaves the choice to
+           [Request.exec]'s one default. *)
+        (if Option.is_some inject && a.a_machines = [] then []
+         else List.map (fun m -> Harness.spec m) machines);
       ad_fuel = fuel; ad_step_budget = step_budget;
       ad_mem_words = a.a_mem_words; ad_deadline_ms = deadline_ms;
       ad_inject = inject }
@@ -630,7 +634,6 @@ let start cfg =
             ~buckets:[| 1; 5; 10; 25; 50; 100; 250; 500; 1000; 5000 |]
             ~help:"request latency (ms)" "serve_request_ms" }
     in
-    Stdx.Pool.set_probe t.pool (Some (Obs.Probe.pool r));
     t.dispatcher_thread <- Some (Thread.create dispatch t);
     t.acceptor_thread <- Some (Thread.create acceptor t);
     t

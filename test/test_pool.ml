@@ -1,4 +1,4 @@
-(* The work-stealing domain pool and the parallel fan-out built on it.
+(* The domain pool and the parallel fan-out built on it.
    The contract under test is determinism: for any --jobs value and any
    scheduling, parallel runs must be bit-identical to sequential ones —
    results, completeness tags, and the harness Counters totals — and
@@ -126,67 +126,129 @@ let test_shutdown () =
   | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
   | exception Invalid_argument _ -> ()
 
-(* The scheduler-transition probe and its Obs wiring:
-   submitted/completed totals are exact, the high-water gauges stay
-   within the pool's physical bounds, and the pool is quiescent
-   after a batch. *)
-let test_probe_gauges () =
+(* Poll [cond] every millisecond for up to [secs] seconds; [false] on
+   timeout, so a scheduling bug fails its test instead of hanging it. *)
+let eventually ?(secs = 5.0) cond =
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec go () =
+    cond () || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.001; go ()))
+  in
+  go ()
+
+(* The two ends of the ring: a worker takes the oldest task, a helper
+   the newest.  With the only worker held inside a gate task, awaiting
+   the last of three queued futures runs that one alone and leaves the
+   other two queued until the gate opens. *)
+let test_helper_takes_newest () =
+  P.with_pool ~jobs:2 (fun pool ->
+      let gate = Atomic.make false in
+      let held =
+        P.async pool (fun () ->
+            ignore (eventually ~secs:10.0 (fun () -> Atomic.get gate)))
+      in
+      Alcotest.(check bool) "the worker holds the gate task" true
+        (eventually (fun () ->
+             let st = P.stats pool in
+             st.P.in_flight = 1 && st.P.depth = 0));
+      let ran = ref [] in
+      let futs =
+        List.map
+          (fun i -> P.async pool (fun () -> ran := i :: !ran; i))
+          [ 0; 1; 2 ]
+      in
+      Alcotest.(check int) "await runs the newest" 2
+        (P.await pool (List.nth futs 2));
+      Alcotest.(check (list int)) "and only the newest" [ 2 ] !ran;
+      Alcotest.(check int) "the older two stay queued" 2
+        (P.stats pool).P.depth;
+      Atomic.set gate true;
+      P.await pool held;
+      Alcotest.(check (list int)) "all resolve once the gate opens"
+        [ 0; 1; 2 ] (List.map (P.await pool) futs))
+
+(* A push wakes a waiting worker.  Once the worker waits, each task of
+   a two-task batch waits up to 5 s for the other's flag, so both
+   return true only if the two run at once: the caller helps with one,
+   and the worker must wake for the other. *)
+let test_push_wakes_worker () =
+  P.with_pool ~jobs:2 (fun pool ->
+      Alcotest.(check bool) "the worker waits" true
+        (eventually (fun () ->
+             let st = P.stats pool in
+             st.P.parks = st.P.wakes + 1));
+      let flags = [| Atomic.make false; Atomic.make false |] in
+      let meet i =
+        Atomic.set flags.(i) true;
+        eventually (fun () -> Atomic.get flags.(1 - i))
+      in
+      Alcotest.(check (array bool)) "both tasks met" [| true; true |]
+        (P.map_array pool meet [| 0; 1 |]))
+
+let pool_metrics pool =
   let reg = Obs.Metrics.create () in
+  Obs.Probe.pool_stats reg (P.stats pool);
+  let snaps = Obs.Metrics.snapshot reg in
+  let counter name =
+    match metric name snaps with
+    | Some (Obs.Metrics.Counter v) -> v
+    | _ -> Alcotest.fail (name ^ " missing")
+  and gauge name =
+    match metric name snaps with
+    | Some (Obs.Metrics.Gauge v) -> v
+    | _ -> Alcotest.fail (name ^ " missing")
+  in
+  (counter, gauge)
+
+(* Obs.Probe.pool_stats publishes Pool.stats: submitted/completed
+   totals are exact, the high-water gauges stay within the pool's
+   physical bounds, and the pool is quiescent after a batch. *)
+let test_probe_gauges () =
   let n = 40 in
   P.with_pool ~jobs:3 (fun pool ->
-      P.set_probe pool (Some (Obs.Probe.pool reg));
       ignore (P.map_array pool (fun i -> i * i) (Array.init n (fun i -> i)));
       let st = P.stats pool in
-      Alcotest.(check int) "queue drained" 0 st.Stdx.Pool.depth;
-      Alcotest.(check int) "deques drained" 0 st.Stdx.Pool.deque_depth;
-      Alcotest.(check int) "nothing in flight" 0 st.Stdx.Pool.in_flight;
-      Alcotest.(check int) "submitted total" n st.Stdx.Pool.submitted;
-      Alcotest.(check int) "completed total" n st.Stdx.Pool.completed;
+      Alcotest.(check int) "queue drained" 0 st.P.depth;
+      Alcotest.(check int) "nothing in flight" 0 st.P.in_flight;
+      Alcotest.(check int) "submitted total" n st.P.submitted;
+      Alcotest.(check int) "completed total" n st.P.completed;
       Alcotest.(check bool) "steals never exceed attempts" true
-        (st.Stdx.Pool.steals <= st.Stdx.Pool.steal_attempts));
-  let snaps = Obs.Metrics.snapshot reg in
-  (match (metric "pool_tasks_submitted_total" snaps,
-          metric "pool_tasks_completed_total" snaps) with
-  | Some (Obs.Metrics.Counter s), Some (Obs.Metrics.Counter c) ->
-    Alcotest.(check int) "submitted counter" n s;
-    Alcotest.(check int) "completed counter" n c
-  | _ -> Alcotest.fail "pool counters missing");
-  match (metric "pool_queue_depth_highwater" snaps,
-         metric "pool_deque_depth_highwater" snaps,
-         metric "pool_tasks_in_flight_highwater" snaps) with
-  | Some (Obs.Metrics.Gauge d), Some (Obs.Metrics.Gauge dd),
-    Some (Obs.Metrics.Gauge f) ->
-    (* the first submit observes depth 1 before any worker pops *)
-    Alcotest.(check bool) "depth high-water within queue bounds" true
-      (d >= 1 && d <= n);
-    (* one deque's depth can never exceed the aggregate observed at
-       the same instant, so the high-waters are ordered too *)
-    Alcotest.(check bool) "deque high-water within aggregate" true
-      (dd >= 1 && dd <= d);
-    Alcotest.(check bool) "in-flight high-water within pool width" true
-      (f >= 1 && f <= 3)
-  | _ -> Alcotest.fail "pool gauges missing"
+        (st.P.steals <= st.P.steal_attempts);
+      let counter, gauge = pool_metrics pool in
+      Alcotest.(check int) "submitted counter" n
+        (counter "pool_tasks_submitted_total");
+      Alcotest.(check int) "completed counter" n
+        (counter "pool_tasks_completed_total");
+      Alcotest.(check int) "steals counter" st.P.steals
+        (counter "pool_steals_total");
+      (* the first push sees depth 1 before anyone takes it *)
+      let d = gauge "pool_queue_depth_highwater" in
+      Alcotest.(check bool) "depth high-water within queue bounds" true
+        (d >= 1 && d <= n);
+      let f = gauge "pool_tasks_in_flight_highwater" in
+      Alcotest.(check bool) "in-flight high-water within pool width" true
+        (f >= 1 && f <= 3))
 
 let test_probe_inline_jobs_one () =
-  (* the jobs=1 inline path fires the probe too: totals are identical
+  (* the jobs=1 inline path is counted too: totals are identical
      whatever the pool width *)
-  let reg = Obs.Metrics.create () in
   P.with_pool ~jobs:1 (fun pool ->
-      P.set_probe pool (Some (Obs.Probe.pool reg));
       ignore (P.map_list pool (fun x -> x + 1) [ 1; 2; 3 ]);
       let st = P.stats pool in
-      Alcotest.(check int) "submitted inline" 3 st.Stdx.Pool.submitted;
-      Alcotest.(check int) "completed inline" 3 st.Stdx.Pool.completed);
-  match metric "pool_tasks_completed_total" (Obs.Metrics.snapshot reg) with
-  | Some (Obs.Metrics.Counter 3) -> ()
-  | _ -> Alcotest.fail "inline path missed the probe"
+      Alcotest.(check int) "submitted inline" 3 st.P.submitted;
+      Alcotest.(check int) "completed inline" 3 st.P.completed;
+      let counter, gauge = pool_metrics pool in
+      Alcotest.(check int) "completed counter" 3
+        (counter "pool_tasks_completed_total");
+      Alcotest.(check int) "one task in flight at a time" 1
+        (gauge "pool_tasks_in_flight_highwater");
+      Alcotest.(check int) "nothing queued" 0
+        (gauge "pool_queue_depth_highwater"))
 
 let test_steal_counters_move () =
-  (* Feed the stealer a batch whose tasks are deliberately uneven so
-     idle workers must steal from the deep deque.  Steal *attempts*
-     are guaranteed (a worker with an empty deque always probes
-     victims before parking); successful steals depend on timing, so
-     only the attempt counter is asserted. *)
+  (* A batch of deliberately uneven tasks on a four-domain pool.  Every
+     worker looks at the queue before it first waits, so the attempt
+     counter must move; how many tasks each worker takes depends on
+     timing, so only the totals are asserted. *)
   Stdx.Pool.with_pool ~jobs:4 (fun pool ->
       let f i =
         let acc = ref 0 in
@@ -197,7 +259,7 @@ let test_steal_counters_move () =
       in
       ignore (Stdx.Pool.map_array pool f (Array.init 400 (fun i -> i)));
       let st = Stdx.Pool.stats pool in
-      Alcotest.(check bool) "stealer probed victims" true
+      Alcotest.(check bool) "workers looked at the queue" true
         (st.Stdx.Pool.steal_attempts > 0);
       Alcotest.(check int) "all tasks accounted" 400 st.Stdx.Pool.submitted;
       Alcotest.(check int) "all tasks completed" 400 st.Stdx.Pool.completed)
@@ -316,10 +378,9 @@ let prop_guarded_tasks_never_escape =
             codes outcomes))
 
 (* qcheck: scheduling independence.  Whatever the jobs count, a
-   segmented analysis on the work-stealing pool is bit-identical to the
-   sequential un-segmented run — the end-to-end form of the pool's
-   determinism contract, with randomized victim selection, helping and
-   parking all in play.  At fuel 20000 every workload's replay crosses
+   segmented analysis on the pool is bit-identical to the sequential
+   un-segmented run — the end-to-end form of the pool's determinism
+   contract, with helping and waiting workers in play.  At fuel 20000 every workload's replay crosses
    one segment boundary at the one-chunk stride; test_segmented's
    [Segmented.run] properties randomize the stride. *)
 
@@ -346,6 +407,8 @@ let prop_steal_segmented_scheduling_independent =
       in
       seq = par && Harness.Counters.segments () - g0 = 2)
 
+(* The "steal:" labels name the work-stealing pool this one replaced;
+   they stay so that each test keeps its name. *)
 let suite =
   let case label = Alcotest.test_case ("steal: " ^ label) `Quick in
   [ case "map_array preserves order" test_map_order;
@@ -358,6 +421,8 @@ let suite =
     case "async/await box values and exceptions" test_async_await;
     case "await helps on a narrow pool" test_await_helps;
     case "shutdown is idempotent and final" test_shutdown;
+    case "a helper takes the newest task" test_helper_takes_newest;
+    case "a push wakes a waiting worker" test_push_wakes_worker;
     case "probe gauges track the queues" test_probe_gauges;
     case "probe fires on the inline path" test_probe_inline_jobs_one;
     case "counters move under uneven load" test_steal_counters_move ]

@@ -410,6 +410,25 @@ let test_serve_metrics_scrape () =
       check bool "pool probe exported" true
         (has "pool_tasks_completed_total"))
 
+(* An injected request without machines analyzes the one default
+   [Request.exec] picks for it, SP-CD-MF, as [ilp-limits inject] does
+   — not the first of the seven paper machines an un-injected request
+   defaults to. *)
+let test_serve_inject_default_machine () =
+  with_server "inject-default" (fun _t path ->
+      let resp =
+        oneshot path
+          (analyze_payload ~id:1 ~fuel:50_000 ~step_budget:10
+             ~workload:"awk" ~inject:("bit-flip", 3) [])
+      in
+      let j = match Jsonx.parse resp with Ok j -> j | Error e -> fail e in
+      let results =
+        Jsonx.(member "results" j |> Option.get |> to_list) |> Option.get
+      in
+      check int "one result" 1 (List.length results);
+      check (Alcotest.option string) "the injected default" (Some "SP-CD-MF")
+        Jsonx.(member "machine" (List.hd results) |> Option.get |> to_str))
+
 let test_serve_typed_errors () =
   with_server ~max_fuel:1_000 "errors" (fun _t path ->
       let expect payload cause code =
@@ -725,6 +744,8 @@ let suite =
       test_serve_analyze_matches_oneshot;
     Alcotest.test_case "serve: metrics scrape exports counters" `Quick
       test_serve_metrics_scrape;
+    Alcotest.test_case "serve: injected request defaults to SP-CD-MF" `Quick
+      test_serve_inject_default_machine;
     Alcotest.test_case "serve: typed errors for every refusal" `Quick
       test_serve_typed_errors;
     Alcotest.test_case "serve: deadline is typed, code 6" `Quick
