@@ -545,16 +545,16 @@ let cmd_inject names seed fault_name fuel =
   let* ws = workloads_of_names names in
   let rec go = function
     | [] -> Ok ()
-    | w :: rest ->
-      let* inj = Harness.inject ?fuel ~seed ~kind w in
-      Format.printf "%-10s seed=%d %s@." inj.Harness.i_workload inj.i_seed
-        inj.i_description;
+    | (w : Workloads.Registry.t) :: rest ->
+      let* r = Harness.Request.exec ?fuel ~inject:(kind, seed) ~specs:[] w in
+      let res = List.hd r.r_results in
+      Format.printf "%-10s seed=%d %s@." w.name seed
+        (Option.value r.r_injected ~default:"");
       Format.printf "           status=%a steps=%d counted=%d \
                      parallelism=%.2f completeness=%s@."
-        Vm.Exec.pp_status inj.i_status inj.i_steps
-        inj.i_result.Ilp.Analyze.counted inj.i_result.Ilp.Analyze.parallelism
-        (Pipeline_error.completeness_tag
-           inj.i_result.Ilp.Analyze.completeness);
+        Vm.Exec.pp_status r.r_status r.r_steps res.Ilp.Analyze.counted
+        res.parallelism
+        (Pipeline_error.completeness_tag res.completeness);
       go rest
   in
   go ws
@@ -729,6 +729,20 @@ let cmd_serve socket tcp jobs queue_limit cache_capacity admit
     retry_after_ms split_trace supervise_flag =
   let* admission = parse_admission admit in
   let* jobs = Cli.Parallel.validate_jobs (Cli.Parallel.resolve_jobs jobs) in
+  (* Every setting is refused below its floor before a socket is bound;
+     the server's own clamps stay as a second defense. *)
+  let* () =
+    List.fold_left
+      (fun ok (flag, min, v) ->
+        let* () = ok in
+        Harness.check_count ~min flag v)
+      (Ok ())
+      [ ("queue-limit", 1, queue_limit); ("cache", 1, cache_capacity);
+        ("max-fuel", 1, max_fuel); ("max-step-budget", 1, max_step_budget);
+        ("deadline-ms", 1, default_deadline_ms);
+        ("idle-timeout-ms", 1, idle_timeout_ms);
+        ("retry-after-ms", 0, retry_after_ms) ]
+  in
   let* tcp =
     match tcp with
     | None -> Ok None

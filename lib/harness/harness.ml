@@ -64,17 +64,21 @@ end
 let ( let* ) = Result.bind
 
 (* Every count the harness takes from outside — jobs, fuel, a step
-   budget — must be at least 1: anything smaller is a typed
+   budget, a deadline — must be at least 1: anything smaller is a typed
    [Invalid_request] (exit code 2), never a degenerate run. *)
-let below_one what n =
-  Pipeline_error.v Execute
-    (Invalid_request (Printf.sprintf "%s must be at least 1 (got %d)" what n))
-
-let validate_jobs j = if j < 1 then Error (below_one "jobs" j) else Ok j
-
-let check_fuel = function
-  | Some f when f < 1 -> Error (below_one "fuel" f)
+let check_count ?workload ?(min = 1) what = function
+  | Some n when n < min ->
+    Error
+      (Pipeline_error.v ?workload Execute
+         (Invalid_request
+            (Printf.sprintf "%s must be at least %d (got %d)" what min n)))
   | _ -> Ok ()
+
+let validate_jobs j =
+  let* () = check_count "jobs" (Some j) in
+  Ok j
+
+let check_fuel = check_count "fuel"
 
 let resolve_fuel w fuel =
   let* () = check_fuel fuel in
@@ -190,21 +194,13 @@ let validated_mem_words ~workload = function
     let* n = Vm.Exec.validate_mem_words ~workload n in
     Ok (Some n)
 
-let prepare_result ?options ?mem_words ?fuel ?(obs = Obs.Ctx.disabled)
-    ?(span_buf = Obs.Span.disabled) ?train_values ?deadline w =
+let prepare_result ?options ?mem_words ?fuel w =
   let name = w.Workloads.Registry.name in
   let* fuel = resolve_fuel w fuel in
   let* mem_words = validated_mem_words ~workload:name mem_words in
-  let* flat =
-    Obs.Span.with_span span_buf ~workload:name "compile" (fun () ->
-        Workloads.Registry.compile_result ?options w)
-  in
+  let* flat = Workloads.Registry.compile_result ?options w in
   Pipeline_error.guard ~workload:name Execute (fun () ->
-      deadline_guard ~workload:name Execute (fun () ->
-          Option.iter Obs.Deadline.check deadline;
-          Ok
-            (prepare_flat ?mem_words ~probe:(Obs.Ctx.vm_probe obs) ~span_buf
-               ?train_values ?deadline ~fuel w flat)))
+      Ok (prepare_flat ?mem_words ~fuel w flat))
 
 let prepare_source ?(fuel = 10_000_000) ?train_values ~name source =
   let w =
@@ -287,14 +283,14 @@ let inherit_step_budget step_budget specs =
         | _ -> s)
       specs
   in
-  match
-    List.find_map
-      (fun s ->
-        match s.s_step_budget with Some b when b < 1 -> Some b | _ -> None)
-      specs
-  with
-  | Some b -> Error (below_one "step budget" b)
-  | None -> Ok specs
+  let* () =
+    List.fold_left
+      (fun ok s ->
+        let* () = ok in
+        check_count "step budget" s.s_step_budget)
+      (Ok ()) specs
+  in
+  Ok specs
 
 let configs_of_specs ?(obs = Obs.Ctx.disabled) ?value_table ~flat ~info
     ~profile specs =
@@ -313,149 +309,65 @@ let configs_of_specs ?(obs = Obs.Ctx.disabled) ?value_table ~flat ~info
     specs
 
 (* ------------------------------------------------------------------ *)
-(* Intra-trace segmentation (DESIGN.md §15): whether [Run.exec] hands
-   its pool to each replay. *)
-
-type segmenting = [ `Off | `Auto ]
-
-module Run = struct
-  type config = {
-    specs : spec list;
-    jobs : int;
-    fuel : int option;
-    step_budget : int option;
-    mem_words : int option;
-    options : Codegen.Compile.options option;
-    deadline_ms : int option;
-    obs : Obs.Ctx.t;
-    segment_steps : segmenting;
-  }
-
-  let config ?(jobs = 1) ?fuel ?step_budget ?mem_words ?options ?deadline_ms
-      ?(obs = Obs.Ctx.disabled) ?(segment_steps = `Off) specs =
-    { specs; jobs; fuel; step_budget; mem_words; options; deadline_ms; obs;
-      segment_steps }
-
-  type item = {
-    it_workload : Workloads.Registry.t;
-    it_outcome : (Ilp.Analyze.result list, Pipeline_error.t) result;
-  }
-
-  (* The replay: execute the prepared program again, with the same fuel
-     and memory, so it retires the same entries, straight into every
-     analysis state.  Nothing is recorded.  A pool wider than one domain
-     pipelines it, one chunk per segment (cut to the trace, so a short
-     one costs no memory): this domain runs the VM and the pool applies.
-     A deadline rides the replay's observe hook and, when pipelined, the
-     per-segment check; the last partial chunk is analyzed at close,
-     after the last observe call, so the clock is checked once more
-     after [finish]. *)
-  let on_prepared ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled)
-      ?pool ?(task_index = 0) ?deadline p specs =
-    let name = p.workload.Workloads.Registry.name in
-    Option.iter Obs.Deadline.check deadline;
-    Obs.Span.with_span span_buf ~workload:name "analyze" (fun () ->
-        (* One table shared by every vp spec; None when the preparation
-           ran without [train_values] (vp then degrades to a no-op). *)
-        let value_table =
-          if specs_need_values specs then
-            Option.map Predict.Predictor.Value.table p.values
-          else None
-        in
-        let configs =
-          configs_of_specs ~obs ?value_table ~flat:p.flat ~info:p.info
-            ~profile:p.profile specs
-        in
-        let sink, finish =
-          match pool with
-          | Some pool when Stdx.Pool.jobs pool > 1 ->
-            let check =
-              Option.map (fun d () -> Obs.Deadline.check d) deadline
-            in
-            let sink, finish =
-              Ilp.Segmented.sink ~pool ~obs
-                ~span_index_base:((task_index + 1) * 100_000_000)
-                ~workload:name ?check
-                ~segment_steps:(min Vm.Trace.chunk_size (max 1 p.steps))
-                configs p.info
-            in
-            ( sink,
-              fun ?completeness () ->
-                let o = finish ?completeness () in
-                Counters.record_segments o.Ilp.Segmented.segments;
-                o.Ilp.Segmented.results )
-          | _ -> Ilp.Analyze.sink_many configs p.info
-        in
-        let o =
-          Vm.Exec.run ?mem_words:p.mem_words ~fuel:p.fuel ~record:false
-            ~probe:(Obs.Ctx.vm_probe obs) ?observe:(deadline_observe deadline)
-            ~sink p.flat
-        in
-        Counters.record_execution ();
-        Counters.record_pass ~entries:o.steps ~states:(List.length specs);
-        let results = finish ~completeness:(Vm.Exec.completeness_of o) () in
-        Option.iter Obs.Deadline.check deadline;
-        results)
-
-  (* Parallel fan-out: each workload's whole pipeline — compile,
-     train, replay into every spec — is one pool task with its own VM
-     state and span buffer; nothing is shared between tasks but the
-     atomic metrics.  Results come back in workload order and span
-     buffers merge by task index, so the output — results, counter
-     totals, span skeleton — is bit-identical to the sequential run,
-     whatever the scheduling.  The guard wrapper upholds the pipeline
-     invariant across the domain boundary: an exception a task leaks
-     becomes that workload's typed [Internal] error instead of escaping
-     the pool. *)
-  let exec cfg ws =
-    let* jobs = validate_jobs cfg.jobs in
-    let* () = check_fuel cfg.fuel in
-    let* specs = inherit_step_budget cfg.step_budget cfg.specs in
-    let task ?pool (i, w) =
-      let name = w.Workloads.Registry.name in
-      let span_buf = Obs.Ctx.task_buffer cfg.obs ~index:i ~label:name in
-      (* Each workload gets the full wall-clock budget, armed when its
-         own pipeline starts and observed by both executions. *)
-      let deadline =
-        Option.map (fun budget_ms -> Obs.Deadline.start ~budget_ms)
-          cfg.deadline_ms
+(* The replay: execute the prepared program again, with the same fuel
+   and memory, so it retires the same entries, straight into every
+   analysis state.  Nothing is recorded.  A pool wider than one domain
+   pipelines it, one chunk per segment (cut to the trace, so a short
+   one costs no memory): this domain runs the VM and the pool applies.
+   A deadline rides the replay's observe hook and, when pipelined, the
+   per-segment check; the last partial chunk is analyzed at close,
+   after the last observe call, so the clock is checked once more
+   after [finish]. *)
+let replay ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled) ?pool
+    ?(task_index = 0) ?deadline p specs =
+  let name = p.workload.Workloads.Registry.name in
+  Option.iter Obs.Deadline.check deadline;
+  Obs.Span.with_span span_buf ~workload:name "analyze" (fun () ->
+      (* One table shared by every vp spec; None when the preparation
+         ran without [train_values] (vp then degrades to a no-op). *)
+      let value_table =
+        if specs_need_values specs then
+          Option.map Predict.Predictor.Value.table p.values
+        else None
       in
-      let outcome =
-        Pipeline_error.guard ~workload:name Execute (fun () ->
-            let* p =
-              prepare_result ?options:cfg.options ?mem_words:cfg.mem_words
-                ?fuel:cfg.fuel ~obs:cfg.obs ~span_buf
-                ~train_values:(specs_need_values specs) ?deadline w
-            in
-            deadline_guard ~workload:name Execute (fun () ->
-                Ok
-                  (on_prepared ~obs:cfg.obs ~span_buf ?pool ~task_index:i
-                     ?deadline p specs)))
+      let configs =
+        configs_of_specs ~obs ?value_table ~flat:p.flat ~info:p.info
+          ~profile:p.profile specs
       in
-      { it_workload = w; it_outcome = outcome }
-    in
-    let indexed = List.mapi (fun i w -> (i, w)) ws in
-    (* Un-segmented, a workload is one task, so domains beyond the
-       workload count would idle.  Pipelined, the workloads run one
-       after another on this domain, each the producer of its own
-       replay, and the pool — handed to the replay, so it pipelines —
-       runs only their apply tasks: no task awaits another, and one
-       workload's two segments are all that is live. *)
-    let pipelined = cfg.segment_steps = `Auto && jobs > 1 in
-    let width =
-      if pipelined then jobs else min jobs (List.length indexed)
-    in
-    if width <= 1 then Ok (List.map (fun iw -> task iw) indexed)
-    else
-      Ok
-        (Stdx.Pool.with_pool ~jobs:width (fun pool ->
-             if pipelined then List.map (task ~pool) indexed
-             else Stdx.Pool.map_list pool (fun iw -> task iw) indexed))
-end
+      let sink, finish =
+        match pool with
+        | Some pool when Stdx.Pool.jobs pool > 1 ->
+          let check =
+            Option.map (fun d () -> Obs.Deadline.check d) deadline
+          in
+          let sink, finish =
+            Ilp.Segmented.sink ~pool ~obs
+              ~span_index_base:((task_index + 1) * 100_000_000)
+              ~workload:name ?check
+              ~segment_steps:(min Vm.Trace.chunk_size (max 1 p.steps))
+              configs p.info
+          in
+          ( sink,
+            fun ?completeness () ->
+              let o = finish ?completeness () in
+              Counters.record_segments o.Ilp.Segmented.segments;
+              o.Ilp.Segmented.results )
+        | _ -> Ilp.Analyze.sink_many configs p.info
+      in
+      let o =
+        Vm.Exec.run ?mem_words:p.mem_words ~fuel:p.fuel ~record:false
+          ~probe:(Obs.Ctx.vm_probe obs) ?observe:(deadline_observe deadline)
+          ~sink p.flat
+      in
+      Counters.record_execution ();
+      Counters.record_pass ~entries:o.steps ~states:(List.length specs);
+      let results = finish ~completeness:(Vm.Exec.completeness_of o) () in
+      Option.iter Obs.Deadline.check deadline;
+      results)
 
 (* ------------------------------------------------------------------ *)
-(* One injected run, shared by [inject], its segmented differential and
-   the seeded-fault request: plan the perturbation, execute the damaged
+(* One injected run, shared by the seeded-fault request and its
+   segmented differential: plan the perturbation, execute the damaged
    program once through the injector's observe hook (chained with the
    deadline's) and its sink wrapper around [analyze]'s sink, and tag the
    cut.  btfn prediction needs no training execution, keeping injection
@@ -502,12 +414,18 @@ let analyze_one cfg info =
   let sink, finish = Ilp.Analyze.sink_many [ cfg ] info in
   (sink, 1, fun completeness -> (finish ~completeness (), ()))
 
+(* An injected run analyzes the first spec alone, by default the
+   paper's SP-CD-MF. *)
+let injected_specs = function
+  | [] -> [ spec Ilp.Machine.sp_cd_mf ]
+  | specs -> specs
+
 (* ------------------------------------------------------------------ *)
-(* Request-shaped entry point: one workload, per-request quotas, an
-   optional precompiled program (cache hit) and an optional seeded
-   fault — the unit of work the serve daemon executes.  The same
-   train-then-replay path as [Run.exec], so a wall-clock deadline
-   covers execution {e and} analysis. *)
+(* The one per-workload pipeline: validate every count, compile (or
+   take the cached program), then train and replay — or run the one
+   injected execution.  [Run.exec], the serve daemon, [inject] and the
+   fuzzer all come through here, so a wall-clock deadline covers
+   execution {e and} analysis everywhere. *)
 
 module Request = struct
   type reply = {
@@ -515,19 +433,17 @@ module Request = struct
     r_results : Ilp.Analyze.result list;
     r_steps : int;
     r_status : Vm.Exec.status;
+    r_injected : string option;
   }
 
-  let exec ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled) ?flat
-      ?fuel ?step_budget ?mem_words ?deadline_ms ?inject ?pool ~specs w =
+  let exec ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled) ?options
+      ?flat ?fuel ?step_budget ?mem_words ?deadline_ms ?inject ?pool
+      ?task_index ~specs w =
     let name = w.Workloads.Registry.name in
     let* fuel = resolve_fuel w fuel in
-    (* An injected run analyzes the first spec alone, by default the
-       paper's SP-CD-MF; it inherits the request's budget like any. *)
-    let specs =
-      match (inject, specs) with
-      | Some _, [] -> [ spec Ilp.Machine.sp_cd_mf ]
-      | _ -> specs
-    in
+    let* () = check_count ~workload:name "deadline_ms" deadline_ms in
+    (* An injected run's spec inherits the request's budget like any. *)
+    let specs = if Option.is_some inject then injected_specs specs else specs in
     let* specs = inherit_step_budget step_budget specs in
     let* mem_words = validated_mem_words ~workload:name mem_words in
     (* The clock starts before compilation: a cache miss spends budget
@@ -536,39 +452,114 @@ module Request = struct
       Option.map (fun budget_ms -> Obs.Deadline.start ~budget_ms)
         deadline_ms
     in
-    let* flat =
-      match flat with
-      | Some f -> Ok f
-      | None ->
-        Obs.Span.with_span span_buf ~workload:name "compile" (fun () ->
-            Workloads.Registry.compile_result w)
-    in
     Pipeline_error.guard ~workload:name Execute (fun () ->
         deadline_guard ~workload:name Execute (fun () ->
+            let* flat =
+              match flat with
+              | Some f -> Ok f
+              | None ->
+                Obs.Span.with_span span_buf ~workload:name "compile"
+                  (fun () -> Workloads.Registry.compile_result ?options w)
+            in
             Option.iter Obs.Deadline.check deadline;
-            match inject with
-            | Some (kind, seed) ->
-              let s = List.hd specs in
-              let _, outcome, (r_results, ()) =
-                injected_run ?deadline ?mem_words ?step_budget:s.s_step_budget
-                  ~obs ~fuel ~machine:s.s_machine ~seed ~kind
-                  ~analyze:analyze_one flat
-              in
-              Ok
-                { r_flat = flat; r_results; r_steps = outcome.steps;
-                  r_status = outcome.status }
-            | None ->
-              let p =
-                prepare_flat ?mem_words ~probe:(Obs.Ctx.vm_probe obs)
-                  ~span_buf ~train_values:(specs_need_values specs)
-                  ?deadline ~fuel w flat
-              in
-              let r_results =
-                Run.on_prepared ~obs ~span_buf ?pool ?deadline p specs
-              in
-              Ok
-                { r_flat = flat; r_results; r_steps = p.steps;
-                  r_status = p.status }))
+            let r_results, r_steps, r_status, r_injected =
+              match inject with
+              | Some (kind, seed) ->
+                let s = List.hd specs in
+                let app, o, (results, ()) =
+                  injected_run ?deadline ?mem_words
+                    ?step_budget:s.s_step_budget ~obs ~fuel
+                    ~machine:s.s_machine ~seed ~kind ~analyze:analyze_one flat
+                in
+                ( results, o.steps, o.status,
+                  Some app.Fault.Injector.description )
+              | None ->
+                let p =
+                  prepare_flat ?mem_words ~probe:(Obs.Ctx.vm_probe obs)
+                    ~span_buf ~train_values:(specs_need_values specs)
+                    ?deadline ~fuel w flat
+                in
+                ( replay ~obs ~span_buf ?pool ?task_index ?deadline p specs,
+                  p.steps, p.status, None )
+            in
+            Ok { r_flat = flat; r_results; r_steps; r_status; r_injected }))
+end
+
+(* ------------------------------------------------------------------ *)
+(* Intra-trace segmentation (DESIGN.md §15): whether [Run.exec] hands
+   its pool to each replay. *)
+
+type segmenting = [ `Off | `Auto ]
+
+module Run = struct
+  type config = {
+    specs : spec list;
+    jobs : int;
+    fuel : int option;
+    step_budget : int option;
+    mem_words : int option;
+    options : Codegen.Compile.options option;
+    deadline_ms : int option;
+    obs : Obs.Ctx.t;
+    segment_steps : segmenting;
+  }
+
+  let config ?(jobs = 1) ?fuel ?step_budget ?mem_words ?options ?deadline_ms
+      ?(obs = Obs.Ctx.disabled) ?(segment_steps = `Off) specs =
+    { specs; jobs; fuel; step_budget; mem_words; options; deadline_ms; obs;
+      segment_steps }
+
+  type item = {
+    it_workload : Workloads.Registry.t;
+    it_outcome : (Ilp.Analyze.result list, Pipeline_error.t) result;
+  }
+
+  let on_prepared = replay
+
+  (* Parallel fan-out: each workload is one [Request.exec] — compile,
+     train, replay into every spec — with its own VM state and span
+     buffer; nothing is shared between workloads but the atomic
+     metrics.  Results come back in workload order, and span buffers
+     (the segment pipeline's too, through [task_index]) merge by
+     workload index, so the output — results, counter totals, span
+     skeleton — is bit-identical to the sequential run, whatever the
+     scheduling.  Each workload gets the full wall-clock budget, armed
+     when its own pipeline starts.  [Request.exec] is guarded, so no
+     exception leaves a task. *)
+  let exec cfg ws =
+    let* jobs = validate_jobs cfg.jobs in
+    let* () = check_fuel cfg.fuel in
+    let* () = check_count "deadline_ms" cfg.deadline_ms in
+    let* specs = inherit_step_budget cfg.step_budget cfg.specs in
+    let task ?pool (i, w) =
+      let span_buf =
+        Obs.Ctx.task_buffer cfg.obs ~index:i ~label:w.Workloads.Registry.name
+      in
+      { it_workload = w;
+        it_outcome =
+          Result.map
+            (fun r -> r.Request.r_results)
+            (Request.exec ~obs:cfg.obs ~span_buf ?options:cfg.options
+               ?fuel:cfg.fuel ?mem_words:cfg.mem_words
+               ?deadline_ms:cfg.deadline_ms ?pool ~task_index:i ~specs w) }
+    in
+    let indexed = List.mapi (fun i w -> (i, w)) ws in
+    (* Un-segmented, a workload is one task, so domains beyond the
+       workload count would idle.  Pipelined, the workloads run one
+       after another on this domain, each the producer of its own
+       replay, and the pool — handed to the replay, so it pipelines —
+       runs only their apply tasks: no task awaits another, and one
+       workload's two segments are all that is live. *)
+    let pipelined = cfg.segment_steps = `Auto && jobs > 1 in
+    let width =
+      if pipelined then jobs else min jobs (List.length indexed)
+    in
+    if width <= 1 then Ok (List.map (fun iw -> task iw) indexed)
+    else
+      Ok
+        (Stdx.Pool.with_pool ~jobs:width (fun pool ->
+             if pipelined then List.map (task ~pool) indexed
+             else Stdx.Pool.map_list pool (fun iw -> task iw) indexed))
 end
 
 type check_result = {
@@ -651,51 +642,17 @@ let branch_stats p =
        else float_of_int len /. float_of_int dyn) }
 
 (* ------------------------------------------------------------------ *)
-(* Fault injection: run one deterministically perturbed pipeline. *)
-
-type injected = {
-  i_workload : string;
-  i_kind : Fault.Injector.kind;
-  i_seed : int;
-  i_description : string;
-  i_status : Vm.Exec.status;
-  i_steps : int;
-  i_result : Ilp.Analyze.result;
-}
-
-(* Compile [w] and run one injected case behind the fault barrier: a
-   corrupted program may break static analysis in ways no enumerated
-   error covers; anything escaping becomes a typed Internal error rather
-   than an exception. *)
-let inject_with ?fuel ?(obs = Obs.Ctx.disabled)
-    ?(machine = Ilp.Machine.sp_cd_mf) ~seed ~kind ~analyze w =
-  let name = w.Workloads.Registry.name in
-  let* fuel = resolve_fuel w fuel in
-  let* flat = Workloads.Registry.compile_result w in
-  Pipeline_error.guard ~workload:name Analyze (fun () ->
-      let app, (outcome : Vm.Exec.outcome), (results, extra) =
-        injected_run ~obs ~fuel ~machine ~seed ~kind ~analyze flat
-      in
-      Ok
-        ( { i_workload = name;
-            i_kind = kind;
-            i_seed = seed;
-            i_description = app.Fault.Injector.description;
-            i_status = outcome.status;
-            i_steps = outcome.steps;
-            i_result = List.hd results },
-          extra ))
-
-let inject ?fuel ?obs ?machine ~seed ~kind w =
-  Result.map fst
-    (inject_with ?fuel ?obs ?machine ~seed ~kind ~analyze:analyze_one w)
-
 (* The pipeline-vs-sequential differential on a perturbed pipeline:
    the one injected execution is teed into the sequential analyzer and
    the un-pooled segment pipeline, which see exactly the same (possibly
-   cut) stream.  Returns the sequential result (for the usual
-   completeness tally) plus whether the two agree structurally. *)
-let inject_compare ?fuel ?obs ?machine ~seed ~kind ~segment_steps w =
+   cut) stream.  Returns the sequential results (for the usual
+   completeness tally) plus whether the two agree structurally.  A
+   corrupted program may break static analysis in ways no enumerated
+   error covers, so the run sits behind the fault barrier. *)
+let inject_compare ?fuel ~obs ~specs ~seed ~kind ~segment_steps w =
+  let name = w.Workloads.Registry.name in
+  let* fuel = resolve_fuel w fuel in
+  let machine = (List.hd (injected_specs specs)).s_machine in
   let analyze cfg info =
     let seq, seq_finish = Ilp.Analyze.sink_many [ cfg ] info in
     let seg, seg_finish = Ilp.Segmented.sink ~segment_steps [ cfg ] info in
@@ -706,9 +663,12 @@ let inject_compare ?fuel ?obs ?machine ~seed ~kind ~segment_steps w =
         Counters.record_segments o.Ilp.Segmented.segments;
         (seq_finish ~completeness (), o.Ilp.Segmented.results) )
   in
-  Result.map
-    (fun (inj, seg) -> (inj, [ inj.i_result ] = seg))
-    (inject_with ?fuel ?obs ?machine ~seed ~kind ~analyze w)
+  Pipeline_error.guard ~workload:name Execute (fun () ->
+      let* flat = Workloads.Registry.compile_result w in
+      let _, _, (seq, seg) =
+        injected_run ~obs ~fuel ~machine ~seed ~kind ~analyze flat
+      in
+      Ok (seq, seq = seg))
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz driver: the pipeline invariant, checked in bulk.  Every seeded
@@ -760,58 +720,56 @@ module Fuzz = struct
       (* With [random_machines], each case also draws a random lattice
          point, so corrupted programs meet arbitrary machine specs —
          the compositional model fuzzed end to end. *)
-      let machine =
-        if random_machines then Some (Ilp.Machine.random case_seed)
-        else None
+      let specs =
+        if random_machines then [ spec (Ilp.Machine.random case_seed) ]
+        else []
       in
-      if segments then begin
-        (* Differential mode: segmented analysis must reproduce the
-           sequential result bit for bit on the perturbed pipeline.
-           The segment stride is itself fuzzed, drawn from the same
-           seed stream as the case (a second derive index keeps it
-           independent of the fault plan). *)
-        let segment_steps =
-          1 + (Fault.Injector.Rng.derive ~seed:case_seed ~index:997 land 0xFFF)
-        in
-        match
-          inject_compare ?fuel ~obs ?machine ~seed:case_seed ~kind
-            ~segment_steps w
-        with
-        | Ok (inj, identical) ->
-          if not identical then
-            O_escaped
-              { e_seed = case_seed; e_kind = kind;
-                e_workload = w.Workloads.Registry.name;
-                e_exn =
-                  Printf.sprintf
-                    "segmented analysis diverged from sequential \
-                     (segment_steps=%d)"
-                    segment_steps }
-          else (
-            match inj.i_result.Ilp.Analyze.completeness with
-            | Pipeline_error.Complete -> O_complete
-            | Pipeline_error.Truncated _ -> O_truncated)
-        | Error { Pipeline_error.cause = Internal _; _ } -> O_internal
-        | Error _ -> O_structured
-        | exception e ->
-          O_escaped
-            { e_seed = case_seed; e_kind = kind;
-              e_workload = w.Workloads.Registry.name;
-              e_exn = Printexc.to_string e }
-      end
-      else
-        match inject ?fuel ~obs ?machine ~seed:case_seed ~kind w with
-        | Ok inj -> (
-          match inj.i_result.Ilp.Analyze.completeness with
-          | Pipeline_error.Complete -> O_complete
-          | Pipeline_error.Truncated _ -> O_truncated)
-        | Error { Pipeline_error.cause = Internal _; _ } -> O_internal
-        | Error _ -> O_structured
-        | exception e ->
-          O_escaped
-            { e_seed = case_seed; e_kind = kind;
-              e_workload = w.Workloads.Registry.name;
-              e_exn = Printexc.to_string e }
+      let escaped e_exn =
+        O_escaped
+          { e_seed = case_seed; e_kind = kind;
+            e_workload = w.Workloads.Registry.name; e_exn }
+      in
+      (* The sequential results, and why the case fails when it must. *)
+      let injected () =
+        if segments then begin
+          (* Differential mode: segmented analysis must reproduce the
+             sequential result bit for bit on the perturbed pipeline.
+             The segment stride is itself fuzzed, drawn from the same
+             seed stream as the case (a second derive index keeps it
+             independent of the fault plan). *)
+          let segment_steps =
+            1
+            + (Fault.Injector.Rng.derive ~seed:case_seed ~index:997 land 0xFFF)
+          in
+          let* results, identical =
+            inject_compare ?fuel ~obs ~specs ~seed:case_seed ~kind
+              ~segment_steps w
+          in
+          Ok
+            ( results,
+              if identical then None
+              else
+                Some
+                  (Printf.sprintf
+                     "segmented analysis diverged from sequential \
+                      (segment_steps=%d)"
+                     segment_steps) )
+        end
+        else
+          let* r =
+            Request.exec ?fuel ~obs ~inject:(kind, case_seed) ~specs w
+          in
+          Ok (r.Request.r_results, None)
+      in
+      match injected () with
+      | Ok (_, Some diverged) -> escaped diverged
+      | Ok (results, None) -> (
+        match (List.hd results).Ilp.Analyze.completeness with
+        | Pipeline_error.Complete -> O_complete
+        | Pipeline_error.Truncated _ -> O_truncated)
+      | Error { Pipeline_error.cause = Internal _; _ } -> O_internal
+      | Error _ -> O_structured
+      | exception e -> escaped (Printexc.to_string e)
     in
     let outcomes =
       if jobs > 1 && cases > 1 then

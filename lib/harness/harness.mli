@@ -2,21 +2,25 @@
     train its predictors, and analyze its trace under any set of machine
     models in a single pass.
 
-    {!Run} is the one entry point: build a {!Run.config} — the spec
-    list plus the jobs count, instruction budgets and observability
-    context — and {!Run.exec} it over any list of workloads.  Every
-    workload takes one path: a training execution ({!prepare}) feeds
-    the paper's profile predictor through a trace sink, then a replay
-    ({!Run.on_prepared}) executes the program again straight into the
-    fan-out analyzer.  No trace is ever materialized, so memory stays
-    O(program) and instruction budgets can grow to paper scale (100M+).
+    {!Request.exec} is the one per-workload pipeline: it validates
+    every count, compiles the program (or takes the cached one), then
+    a training execution feeds the paper's profile predictor through a
+    trace sink and a replay ({!Run.on_prepared}) executes the program
+    again straight into the fan-out analyzer — or it runs one
+    deterministically injected execution.  {!Run.exec} fans a
+    {!Run.config} (the spec list plus the jobs count, instruction
+    budgets and observability context) over any list of workloads, one
+    {!Request.exec} each; the serve daemon, [ilp-limits inject] and
+    {!Fuzz} call it too.  No trace is ever materialized, so memory
+    stays O(program) and instruction budgets can grow to paper scale
+    (100M+).
 
     Robustness: a faulting or fuel-capped execution is a first-class
     outcome, not an error — its trace prefix is analyzed and every
     result carries {!Ilp.Analyze.result.completeness}.  Per-workload
     failures come back as typed {!Pipeline_error.t} values inside the
-    result list; {!inject} and {!Fuzz} drive deterministically
-    perturbed pipelines behind the same barrier.
+    result list; {!Request.exec}'s [inject] and {!Fuzz} drive
+    deterministically perturbed pipelines behind the same barrier.
 
     Observability: pass an enabled {!Obs.Ctx.t} and every stage of
     every workload is wrapped in a span (one compile / execute /
@@ -66,13 +70,22 @@ module Counters : sig
   val reset : unit -> unit
 end
 
+val check_count :
+  ?workload:string ->
+  ?min:int ->
+  string ->
+  int option ->
+  (unit, Pipeline_error.t) result
+(** [Some n] below [min] (default 1) is a typed [Invalid_request]
+    ("WHAT must be at least MIN (got N)", exit code 2), tagged with
+    [workload] when given.  Every count
+    the pipeline takes goes through it — fuel, step budgets and
+    [deadline_ms] — and so do the serve daemon's startup settings. *)
+
 val validate_jobs : int -> (int, Pipeline_error.t) result
 (** Every [--jobs] surface funnels through this: [j < 1] is a typed
     [Invalid_request] ("jobs must be at least 1 (got N)", exit code 2),
-    identical across run, fuzz and bench.  Fuel and step budgets below
-    1 get the same treatment ("fuel must be at least 1 (got N)") in
-    every typed entry point that takes them: {!prepare_result},
-    {!Run.exec}, {!Request.exec}, {!inject} and {!Fuzz.run}. *)
+    identical across run, fuzz, serve and bench. *)
 
 type prepared = {
   workload : Workloads.Registry.t;
@@ -123,23 +136,14 @@ val prepare_result :
   ?options:Codegen.Compile.options ->
   ?mem_words:int ->
   ?fuel:int ->
-  ?obs:Obs.Ctx.t ->
-  ?span_buf:Obs.Span.buffer ->
-  ?train_values:bool ->
-  ?deadline:Obs.Deadline.t ->
   Workloads.Registry.t ->
   (prepared, Pipeline_error.t) result
 (** Like {!prepare} but total: compile errors arrive as
     [Error { cause = Compile_error _; _ }], [fuel < 1] as
     [Invalid_request], [mem_words] beyond {!Vm.Exec.max_mem_words} as
     [Budget_exceeded], and any unexpected exception is caught by the
-    {!Pipeline_error.guard} barrier.
-
-    [deadline] arms the wall-clock guard: {!Obs.Deadline.observe} rides
-    the VM observe hook, and expiry — mid-execution or at a stage
-    boundary — degrades to a typed [Deadline_exceeded] error (exit
-    code 6), never an exception.  Pass the same deadline to
-    {!Run.on_prepared} to clock the replay, and with it the analysis. *)
+    {!Pipeline_error.guard} barrier.  A deadline is {!Request.exec}'s
+    alone. *)
 
 val prepare_source :
   ?fuel:int -> ?train_values:bool -> name:string -> string -> prepared
@@ -223,7 +227,8 @@ module Run : sig
         execution and the replay, so the clock covers analysis too.
         Each workload's deadline is armed when its own pipeline starts,
         and expiry yields that workload's typed [Deadline_exceeded]
-        error (exit code 6) — the batch continues. *)
+        error (exit code 6) — the batch continues.  Below 1 it is an
+        invalid config, like [fuel]. *)
     obs : Obs.Ctx.t;  (** observability context; {!Obs.Ctx.disabled}
                           costs the hot loops one bool test *)
     segment_steps : segmenting;
@@ -261,17 +266,21 @@ module Run : sig
   val exec :
     config -> Workloads.Registry.t list -> (item list, Pipeline_error.t) result
   (** Run every workload through compile → train → replay into the
-      analyzer under the config: {!prepare_result}, then
-      {!on_prepared}.  [Error] only for an invalid config ([jobs],
-      [fuel] or a step budget below 1); every per-workload failure is
-      carried in its {!item}.  With [jobs > 1] and no segmentation,
-      workloads fan out over a domain pool, each task with its own VM
-      state, analysis sinks and span buffer; results are merged by
-      workload index, so the output — results, {!Counters} totals,
-      metric snapshot, span skeleton — is bit-identical to the
-      sequential run for any [jobs] and any scheduling.  An exception
-      escaping a task surfaces as that workload's [Internal] error,
-      upholding the pipeline invariant across domains.
+      analyzer under the config: one {!Request.exec} per workload,
+      given that workload's span buffer, the compile options, the
+      pool (when pipelined) and the workload's index.  [Error] only
+      for an invalid config ([jobs], [fuel], [deadline_ms] or a step
+      budget below 1), checked before any workload runs; every
+      per-workload failure is carried in its {!item}.  With
+      [jobs > 1] and no segmentation, workloads fan out over a domain
+      pool, each task with its own VM state, analysis sinks and span
+      buffer.  Results and span buffers merge by workload index (the
+      index also namespaces the segment pipeline's span buffers), so
+      the output — results, {!Counters} totals, metric snapshot, span
+      skeleton — is bit-identical to the sequential run for any
+      [jobs] and any scheduling.  {!Request.exec} is total, so an
+      exception inside a task surfaces as that workload's [Internal]
+      error, upholding the pipeline invariant across domains.
 
       Spans per workload (when [config.obs] is enabled): a ["workload"]
       root is {e not} recorded — the stages ["compile"], ["execute"]
@@ -309,11 +318,12 @@ module Run : sig
       workloads never collide. *)
 end
 
-(** Request-shaped entry point: one workload, per-request quotas, an
-    optional precompiled program, an optional seeded fault — the unit
-    of work the [ilp-limits serve] daemon executes per request.  It
-    takes {!Run.exec}'s path (train, then replay into the analyzer), so
-    the wall-clock deadline covers execution {e and} analysis. *)
+(** The one per-workload pipeline: one workload, per-request quotas,
+    an optional precompiled program, an optional seeded fault.
+    {!Run.exec} runs each workload through it, and so do the
+    [ilp-limits serve] daemon (per request), [ilp-limits inject] and
+    {!Fuzz}; it trains, then replays into the analyzer, so the
+    wall-clock deadline covers execution {e and} analysis. *)
 module Request : sig
   type reply = {
     r_flat : Asm.Program.flat;
@@ -323,11 +333,15 @@ module Request : sig
     r_results : Ilp.Analyze.result list;  (** one per spec, spec order *)
     r_steps : int;  (** instructions the analyzed execution retired *)
     r_status : Vm.Exec.status;  (** how that execution ended *)
+    r_injected : string option;
+    (** the perturbation an injected run applied, as
+        {!Fault.Injector.plan} describes it; [None] without [inject] *)
   }
 
   val exec :
     ?obs:Obs.Ctx.t ->
     ?span_buf:Obs.Span.buffer ->
+    ?options:Codegen.Compile.options ->
     ?flat:Asm.Program.flat ->
     ?fuel:int ->
     ?step_budget:int ->
@@ -335,16 +349,19 @@ module Request : sig
     ?deadline_ms:int ->
     ?inject:Fault.Injector.kind * int ->
     ?pool:Stdx.Pool.t ->
+    ?task_index:int ->
     specs:spec list ->
     Workloads.Registry.t ->
     (reply, Pipeline_error.t) result
   (** Execute one request.  Total: every failure mode is a typed
-      {!Pipeline_error.t} — compile errors, [fuel] or a step budget
-      below 1 ([Invalid_request]), quota violations
-      ([Budget_exceeded]), wall-clock expiry ([Deadline_exceeded],
-      armed {e before} compilation so a cache miss pays for its own
-      compile), VM faults, and anything unexpected via the
-      {!Pipeline_error.guard} barrier.
+      {!Pipeline_error.t} — compile errors, [fuel], [deadline_ms] or a
+      step budget below 1 ([Invalid_request], checked before anything
+      runs), quota violations ([Budget_exceeded]), wall-clock expiry
+      ([Deadline_exceeded], armed {e before} compilation so a cache
+      miss pays for its own compile), VM faults, and anything
+      unexpected via the {!Pipeline_error.guard} barrier.  [span_buf]
+      receives the ["compile"], ["execute"] and ["analyze"] spans, and
+      [options] are the compile options of a fresh compile.
 
       [flat] short-circuits compilation (cache hit); determinism
       contract: a cached reply is bit-identical to a fresh one because
@@ -356,14 +373,18 @@ module Request : sig
       pipeline instead: single execution, btfn prediction (no training
       pass), the first spec's machine and step budget (default
       [sp_cd_mf] under the request's [step_budget]), the injector's
-      observe hook chained with the deadline's.
+      observe hook chained with the deadline's; [r_injected] names the
+      perturbation.  Same seed, same reply.  [obs] counts the plan
+      under [fault_planned_total{kind=...}].
 
       A [pool] wider than one domain analyzes via the segment pipeline
       of DESIGN.md §15, as in {!Run.on_prepared}: this request's
       domain runs the VM and the pool applies each segment's
       sub-groups.  Deadline expiry still lands as [Deadline_exceeded]:
       the check hook runs per segment on the producer and in every
-      apply task, and propagates through the futures. *)
+      apply task, and propagates through the futures.  [task_index]
+      (default 0) namespaces those per-segment span buffers, as in
+      {!Run.on_prepared}. *)
 end
 
 (** Outcome of running the static verifier (and optionally the dynamic
@@ -436,38 +457,6 @@ val branch_stats : prepared -> Ilp.Stats.branch_stats
 (** Table 2 statistics, derived from the execution-time profile counts
     (no trace scan). *)
 
-(** One deterministically injected fault, run through the full
-    pipeline. *)
-type injected = {
-  i_workload : string;
-  i_kind : Fault.Injector.kind;
-  i_seed : int;
-  i_description : string;
-  (** exact perturbation, from {!Fault.Injector.plan} *)
-  i_status : Vm.Exec.status;
-  i_steps : int;  (** instructions the damaged execution retired *)
-  i_result : Ilp.Analyze.result;
-  (** analysis of the (possibly truncated) trace, completeness-tagged *)
-}
-
-val inject :
-  ?fuel:int ->
-  ?obs:Obs.Ctx.t ->
-  ?machine:Ilp.Machine.t ->
-  seed:int ->
-  kind:Fault.Injector.kind ->
-  Workloads.Registry.t ->
-  (injected, Pipeline_error.t) result
-(** Compile [w], apply the seeded perturbation, execute, and analyze
-    the surviving trace under one configuration (default machine
-    [sp_cd_mf]; btfn prediction — chosen because it needs no
-    training execution, keeping injection to a single
-    deterministic run).  Total: compile errors, [fuel < 1] and anything
-    a corrupted program provokes come back as [Error]; same seed, same
-    report.
-    [obs] counts the plan under [fault_planned_total{kind=...}] and
-    probes the damaged execution. *)
-
 (** Bulk fault injection asserting the pipeline invariant: {e every}
     input yields either a result or a structured error.  An exception
     reaching the driver frame is an invariant violation — counted and
@@ -501,10 +490,11 @@ module Fuzz : sig
     cases:int ->
     unit ->
     (report, Pipeline_error.t) result
-  (** Run [cases] seeded injections: case [i] uses the splitmix64
-      stream output {!Fault.Injector.Rng.derive}[ ~seed ~index:i],
-      cycles through all fault kinds, and rotates over [workloads]
-      (default: the whole registry).  With [random_machines] (default
+  (** Run [cases] seeded injections, each one {!Request.exec} with
+      [inject]: case [i] uses the splitmix64 stream output
+      {!Fault.Injector.Rng.derive}[ ~seed ~index:i], cycles through all
+      fault kinds, and rotates over [workloads] (default: the whole
+      registry).  With [random_machines] (default
       [false]) each case also analyzes under a random machine-lattice
       point ({!Ilp.Machine.random} of the case seed) instead of always
       [sp_cd_mf], fuzzing the compositional model end to end.  With

@@ -209,14 +209,11 @@ let prepare t (a : Protocol.analyze) =
     quota ~workload ~what:"step budget" ~limit:t.cfg.max_step_budget
       a.a_step_budget
   in
-  let* deadline_ms =
+  (* [Request.exec] refuses a deadline below 1, as it does any count. *)
+  let deadline_ms =
     match a.a_deadline_ms with
-    | Some ms when ms <= 0 ->
-      Error
-        (Pipeline_error.v ~workload Lookup
-           (Invalid_request "deadline_ms must be positive"))
-    | Some _ as d -> Ok d
-    | None -> Ok t.cfg.default_deadline_ms
+    | None -> t.cfg.default_deadline_ms
+    | d -> d
   in
   let* inject =
     match a.a_inject with

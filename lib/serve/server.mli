@@ -49,7 +49,11 @@ type config = {
   max_fuel : int;  (** per-request fuel quota ceiling *)
   max_step_budget : int;  (** per-request analysis-step ceiling *)
   default_deadline_ms : int option;
-      (** deadline applied when a request names none *)
+      (** deadline applied when a request names none.  A request's
+          deadline, its own or this one, goes to
+          {!Harness.Request.exec} unchecked: below 1 ms it is that
+          call's typed [Invalid_request] (code 2), as a fuel below 1
+          is. *)
   idle_timeout_ms : int option;
       (** self-drain after this long with no connections and no work *)
   retry_after_ms : int;  (** hint carried by [Overloaded] responses *)
@@ -81,7 +85,10 @@ val config :
     [queue_limit] = 64, [cache_capacity] = 32, admission off,
     [max_fuel] = 100_000_000, [max_step_budget] = 100_000_000, no
     default deadline, no idle timeout, [retry_after_ms] = 50,
-    [registry] = {!Obs.Metrics.global}, trace split off. *)
+    [registry] = {!Obs.Metrics.global}, trace split off.  The CLI
+    refuses every count below 1 ([retry_after_ms] below 0) before it
+    builds the config; here a [queue_limit] or [cache_capacity] below
+    1 is clamped to 1, and [jobs] below 1 to 1. *)
 
 type t
 

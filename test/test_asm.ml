@@ -1,4 +1,4 @@
-(* Tests of assembly program representation, linking, and the builder. *)
+(* Tests of assembly program representation and linking. *)
 
 module I = Risc.Insn
 module P = Asm.Program
@@ -76,38 +76,6 @@ let test_empty_program () =
   | exception P.Link_error _ -> ()
   | _ -> Alcotest.fail "expected Link_error"
 
-let test_builder () =
-  let b = Asm.Builder.create ~entry:"main" in
-  Asm.Builder.begin_proc b "main";
-  let l1 = Asm.Builder.fresh_label b "x" in
-  let l2 = Asm.Builder.fresh_label b "x" in
-  Alcotest.(check bool) "fresh labels distinct" true (l1 <> l2);
-  Asm.Builder.ins b (I.Li (2, 1));
-  Asm.Builder.place_label b l1;
-  Asm.Builder.ins b (I.J l1);
-  Asm.Builder.end_proc b;
-  Asm.Builder.add_data b ~base:20 [| P.Int_cell 1 |];
-  let prog = Asm.Builder.finish b in
-  Alcotest.(check int) "one proc" 1 (List.length prog.procs);
-  Alcotest.(check int) "data blocks" 1 (List.length prog.data);
-  let flat = P.resolve prog in
-  match flat.code.(1) with
-  | I.J 1 -> ()
-  | _ -> Alcotest.fail "label placed after first instruction"
-
-let test_builder_misuse () =
-  let b = Asm.Builder.create ~entry:"main" in
-  Alcotest.check_raises "ins without proc"
-    (Invalid_argument "Builder: no open procedure") (fun () ->
-      Asm.Builder.ins b I.Halt);
-  Asm.Builder.begin_proc b "main";
-  Alcotest.check_raises "nested begin"
-    (Invalid_argument "Builder.begin_proc: procedure already open")
-    (fun () -> Asm.Builder.begin_proc b "other");
-  Alcotest.check_raises "finish with open proc"
-    (Invalid_argument "Builder.finish: procedure still open") (fun () ->
-      ignore (Asm.Builder.finish b))
-
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
@@ -125,6 +93,4 @@ let suite =
     Alcotest.test_case "undefined label" `Quick test_undefined_label;
     Alcotest.test_case "missing entry" `Quick test_missing_entry;
     Alcotest.test_case "empty program" `Quick test_empty_program;
-    Alcotest.test_case "builder" `Quick test_builder;
-    Alcotest.test_case "builder misuse" `Quick test_builder_misuse;
     Alcotest.test_case "disassembly" `Quick test_disassembly_listing ]

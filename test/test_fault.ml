@@ -239,8 +239,9 @@ let test_unknown_names () =
   Alcotest.(check bool) "fault kind unknown" true
     (Fault.Injector.kind_of_string "rowhammer" = None)
 
-(* Fuel and step budgets below 1 are typed invalid requests (exit code
-   2) at every entry point that takes them, never a degenerate run. *)
+(* Fuel, step budgets and deadlines below 1 are typed invalid requests
+   (exit code 2) at every entry point that takes them, never a
+   degenerate run. *)
 let test_nonpositive_budgets () =
   let w = Workloads.Registry.find "awk" in
   let expect what want = function
@@ -253,6 +254,7 @@ let test_nonpositive_budgets () =
   in
   let fuel n = Printf.sprintf "fuel must be at least 1 (got %d)" n in
   let budget n = Printf.sprintf "step budget must be at least 1 (got %d)" n in
+  let deadline n = Printf.sprintf "deadline_ms must be at least 1 (got %d)" n in
   List.iter
     (fun f ->
       expect "prepare_result" (fuel f) (Harness.prepare_result ~fuel:f w);
@@ -260,8 +262,9 @@ let test_nonpositive_budgets () =
         (Harness.Run.exec (Harness.Run.config ~fuel:f spec1) [ w ]);
       expect "Request.exec" (fuel f)
         (Harness.Request.exec ~fuel:f ~specs:spec1 w);
-      expect "inject" (fuel f)
-        (Harness.inject ~fuel:f ~seed:1 ~kind:Fault.Injector.Fuel_cut w);
+      expect "Request.exec injected" (fuel f)
+        (Harness.Request.exec ~fuel:f ~inject:(Fault.Injector.Fuel_cut, 1)
+           ~specs:[] w);
       expect "Fuzz.run" (fuel f)
         (Harness.Fuzz.run ~fuel:f ~workloads:[ w ] ~seed:1 ~cases:1 ());
       expect "check" (fuel f) (Harness.check ~fuel:f w);
@@ -298,7 +301,19 @@ let test_nonpositive_budgets () =
       expect "Request.exec injected budget" (budget b)
         (Harness.Request.exec ~step_budget:b
            ~inject:(Fault.Injector.Bit_flip, 3) ~specs:[] w))
-    [ 0; -3 ]
+    [ 0; -3 ];
+  (* A deadline below 1 is refused before anything runs, not a run
+     that expires at once. *)
+  List.iter
+    (fun d ->
+      expect "Run.exec deadline" (deadline d)
+        (Harness.Run.exec (Harness.Run.config ~deadline_ms:d spec1) [ w ]);
+      expect "Request.exec deadline" (deadline d)
+        (Harness.Request.exec ~deadline_ms:d ~specs:spec1 w);
+      expect "Request.exec injected deadline" (deadline d)
+        (Harness.Request.exec ~deadline_ms:d
+           ~inject:(Fault.Injector.Bit_flip, 3) ~specs:[] w))
+    [ 0; -5 ]
 
 (* An injected request's analysis stops at its step budget, as an
    un-injected one does: for every fault kind, with the budget on the
@@ -341,35 +356,62 @@ let test_compile_error_typed () =
 
 let small_fuel = 20_000
 
+(* One injected run through the one pipeline, with the default machine;
+   its one result alongside the reply. *)
+let inject ~fuel ~seed ~kind w =
+  Result.map
+    (fun (r : Harness.Request.reply) -> (r, List.hd r.r_results))
+    (Harness.Request.exec ~fuel ~inject:(kind, seed) ~specs:[] w)
+
 let test_inject_deterministic () =
   let w = Workloads.Registry.find "eqntott" in
   List.iter
     (fun k ->
-      let a = Harness.inject ~fuel:small_fuel ~seed:42 ~kind:k w in
-      let b = Harness.inject ~fuel:small_fuel ~seed:42 ~kind:k w in
+      let a = inject ~fuel:small_fuel ~seed:42 ~kind:k w in
+      let b = inject ~fuel:small_fuel ~seed:42 ~kind:k w in
       match (a, b) with
-      | Ok x, Ok y ->
-        Alcotest.(check string)
+      | Ok (x, rx), Ok (y, ry) ->
+        Alcotest.(check (option string))
           (Fault.Injector.kind_name k ^ " description")
-          x.Harness.i_description y.Harness.i_description;
-        Alcotest.(check int) "steps" x.i_steps y.i_steps;
+          x.r_injected y.r_injected;
+        Alcotest.(check int) "steps" x.r_steps y.r_steps;
         Alcotest.(check (float 0.))
           (Fault.Injector.kind_name k ^ " parallelism")
-          x.i_result.Ilp.Analyze.parallelism
-          y.i_result.Ilp.Analyze.parallelism
+          rx.Ilp.Analyze.parallelism ry.Ilp.Analyze.parallelism
       | Error x, Error y ->
         Alcotest.(check string) "same error" (E.to_string x) (E.to_string y)
       | _ -> Alcotest.fail "same seed, different shape")
     Fault.Injector.all_kinds
 
+(* An injected reply names the perturbation the injector plans for the
+   same seed, kind and fuel; an un-injected reply names none. *)
+let test_injected_reply_names_plan () =
+  let w = Workloads.Registry.find "awk" in
+  let flat = Workloads.Registry.compile w in
+  List.iter
+    (fun k ->
+      let plan = Fault.Injector.plan ~seed:7 ~fuel:small_fuel k flat in
+      match inject ~fuel:small_fuel ~seed:7 ~kind:k w with
+      | Ok (r, _) ->
+        Alcotest.(check (option string))
+          (Fault.Injector.kind_name k ^ " description")
+          (Some plan.Fault.Injector.description) r.r_injected
+      | Error e -> Alcotest.fail (E.to_string e))
+    Fault.Injector.all_kinds;
+  match Harness.Request.exec ~fuel:small_fuel ~specs:spec1 w with
+  | Ok r ->
+    Alcotest.(check (option string)) "un-injected" None
+      r.Harness.Request.r_injected
+  | Error e -> Alcotest.fail (E.to_string e)
+
 let test_inject_kinds_behave () =
   let w = Workloads.Registry.find "eqntott" in
   (* fuel-cut always lowers the budget below the run's length, so the
      result must be truncated *)
-  (match Harness.inject ~fuel:small_fuel ~seed:3 ~kind:Fuel_cut w with
-  | Ok inj ->
+  (match inject ~fuel:small_fuel ~seed:3 ~kind:Fuel_cut w with
+  | Ok (_, r) ->
     Alcotest.(check bool) "fuel-cut truncates" true
-      (completeness_kind inj.i_result.Ilp.Analyze.completeness <> None)
+      (completeness_kind r.Ilp.Analyze.completeness <> None)
   | Error e -> Alcotest.fail (E.to_string e));
   (* mem-corrupt: the described word, folded into the memory's size,
      takes the value at the planned step *)
@@ -401,10 +443,10 @@ let test_inject_kinds_behave () =
     [ Vm.Exec.default_mem_words; 1000 ];
   (* trace-cut: the analyzer sees at most the kept prefix while the
      execution runs to its own end *)
-  match Harness.inject ~fuel:small_fuel ~seed:5 ~kind:Trace_cut w with
-  | Ok inj ->
+  match inject ~fuel:small_fuel ~seed:5 ~kind:Trace_cut w with
+  | Ok (reply, r) ->
     Alcotest.(check bool) "analyzer prefix bounded" true
-      (inj.i_result.Ilp.Analyze.counted <= inj.i_steps)
+      (r.Ilp.Analyze.counted <= reply.r_steps)
   | Error e -> Alcotest.fail (E.to_string e)
 
 let test_fuzz_no_escape () =
@@ -420,19 +462,19 @@ let test_fuzz_no_escape () =
   Alcotest.(check int) "no escaped exceptions" 0 (List.length r.escaped);
   Alcotest.(check int) "no internal errors" 0 r.internal_errors
 
-(* qcheck: for arbitrary seeds and kinds the invariant holds — inject
-   returns Ok or a structured Error, never an exception. *)
+(* qcheck: for arbitrary seeds and kinds the invariant holds — an
+   injected request returns Ok or a structured Error, never an
+   exception. *)
 let prop_no_escape =
   let w = Workloads.Registry.find "awk" in
   QCheck.Test.make ~count:60 ~name:"injected faults never escape"
     (QCheck.pair QCheck.small_nat (QCheck.int_range 0 3))
     (fun (seed, ki) ->
       let kind = List.nth Fault.Injector.all_kinds ki in
-      match Harness.inject ~fuel:10_000 ~seed ~kind w with
-      | Ok inj ->
+      match inject ~fuel:10_000 ~seed ~kind w with
+      | Ok (_, r) ->
         (* and analysis numbers stay well-formed *)
-        inj.Harness.i_result.Ilp.Analyze.parallelism >= 0.
-        && inj.i_result.counted >= 0
+        r.Ilp.Analyze.parallelism >= 0. && r.counted >= 0
       | Error _ -> true)
 
 let suite =
@@ -458,5 +500,7 @@ let suite =
     Alcotest.test_case "inject is deterministic" `Quick
       test_inject_deterministic;
     Alcotest.test_case "inject kinds behave" `Quick test_inject_kinds_behave;
+    Alcotest.test_case "an injected reply names its plan" `Quick
+      test_injected_reply_names_plan;
     Alcotest.test_case "fuzz: nothing escapes" `Quick test_fuzz_no_escape;
     QCheck_alcotest.to_alcotest prop_no_escape ]

@@ -179,6 +179,113 @@ let test_deadline_same_path () =
     [ (1, None); (1, Some 600_000); (2, None); (2, Some 600_000) ];
   Harness.Counters.reset ()
 
+(* Run.exec is one Request.exec per workload.  For the ten workloads at
+   jobs 1, at jobs 2 and pipelined at jobs 2 (where Run.exec hands each
+   replay its pool), the batch gives every workload the results of a
+   direct Request.exec call — made with the workload's own span buffer
+   and index, and the same pool — and the same Counters deltas and
+   span skeleton as those calls. *)
+let test_run_is_request () =
+  let specs = List.map Harness.spec machines in
+  let fuel = 20_000 and ws = Workloads.Registry.all in
+  let counters () =
+    Harness.Counters.
+      [ executions (); passes (); entries (); state_entries ();
+        profiled_entries (); segments () ]
+  in
+  let measured f =
+    let obs = Obs.Ctx.create ~registry:(Obs.Metrics.create ()) () in
+    let before = counters () in
+    let results = f obs in
+    ( results,
+      List.map2 ( - ) (counters ()) before,
+      Obs.Span.skeleton (Obs.Ctx.spans obs) )
+  in
+  let direct ?pool obs =
+    List.mapi
+      (fun i (w : Workloads.Registry.t) ->
+        let span_buf = Obs.Ctx.task_buffer obs ~index:i ~label:w.name in
+        match
+          Harness.Request.exec ~obs ~span_buf ?pool ~task_index:i ~fuel
+            ~specs w
+        with
+        | Ok r -> r.r_results
+        | Error e -> Alcotest.fail (Pipeline_error.to_string e))
+      ws
+  in
+  List.iter
+    (fun (what, jobs, segment_steps) ->
+      let got, got_counts, got_skel =
+        measured (fun obs ->
+            match
+              Harness.Run.exec
+                (Harness.Run.config ~jobs ~fuel ~obs ~segment_steps specs)
+                ws
+            with
+            | Ok items ->
+              List.map
+                (fun (it : Harness.Run.item) ->
+                  match it.it_outcome with
+                  | Ok rs -> rs
+                  | Error e -> Alcotest.fail (Pipeline_error.to_string e))
+                items
+            | Error e -> Alcotest.fail (Pipeline_error.to_string e))
+      in
+      let want, want_counts, want_skel =
+        measured (fun obs ->
+            if segment_steps = `Auto then
+              Stdx.Pool.with_pool ~jobs (fun pool -> direct ~pool obs)
+            else direct obs)
+      in
+      List.iter2
+        (fun (w : Workloads.Registry.t) (want, got) ->
+          Alcotest.(check (list result_t)) (what ^ ": " ^ w.name) want got)
+        ws (List.combine want got);
+      Alcotest.(check (list int)) (what ^ ": counters") want_counts got_counts;
+      Alcotest.(check bool) (what ^ ": span skeleton") true
+        (want_skel = got_skel))
+    [ ("jobs 1", 1, `Off); ("jobs 2", 2, `Off); ("jobs 2 auto", 2, `Auto) ];
+  Harness.Counters.reset ()
+
+(* Pipelined, the workloads replay one after another, and each one's
+   segment spans stay together in the merged trace, in workload order:
+   the workload's index namespaces its segment span buffers. *)
+let test_segment_spans_in_workload_order () =
+  let obs = Obs.Ctx.create ~registry:(Obs.Metrics.create ()) () in
+  let ws = List.map Workloads.Registry.find [ "awk"; "gcc" ] in
+  (match
+     Harness.Run.exec
+       (Harness.Run.config ~jobs:2 ~fuel:60_000 ~obs ~segment_steps:`Auto
+          (List.map Harness.spec machines))
+       ws
+   with
+  | Ok items ->
+    List.iter
+      (fun (it : Harness.Run.item) ->
+        match it.it_outcome with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail (Pipeline_error.to_string e))
+      items
+  | Error e -> Alcotest.fail (Pipeline_error.to_string e));
+  let segment_workloads =
+    List.filter_map
+      (fun (sp : Obs.Span.span) ->
+        if String.starts_with ~prefix:"segment-" sp.sp_stage then
+          Some sp.sp_workload
+        else None)
+      (Array.to_list (Obs.Ctx.spans obs))
+  in
+  let rec runs = function
+    | a :: (b :: _ as rest) when a = b -> runs rest
+    | a :: rest -> a :: runs rest
+    | [] -> []
+  in
+  Alcotest.(check bool) "both workloads segmented" true
+    (List.length segment_workloads > 4);
+  Alcotest.(check (list string)) "one run of segment spans per workload"
+    [ "awk"; "gcc" ] (runs segment_workloads);
+  Harness.Counters.reset ()
+
 (* Paper-shape invariant: relaxing control constraints never lowers
    parallelism.  BASE <= CD <= CD-MF <= ORACLE (control dependence
    track) and SP <= SP-CD <= SP-CD-MF <= ORACLE (speculation track). *)
@@ -324,6 +431,10 @@ let suite =
     Alcotest.test_case "execution/pass counters" `Quick test_counters;
     Alcotest.test_case "a deadline takes the same two executions" `Quick
       test_deadline_same_path;
+    Alcotest.test_case "Run.exec is one Request.exec per workload" `Quick
+      test_run_is_request;
+    Alcotest.test_case "pipelined segment spans stay in workload order"
+      `Quick test_segment_spans_in_workload_order;
     Alcotest.test_case "machine ordering: gcc" `Quick
       (test_machine_ordering "gcc");
     Alcotest.test_case "machine ordering: matrix300" `Quick

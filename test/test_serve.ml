@@ -458,6 +458,11 @@ let test_serve_typed_errors () =
         (analyze_payload ~id:1 ~step_budget:(-2) ~workload:"awk"
            [ "sp-cd-mf" ])
         "invalid_request" 2;
+      (* so is a deadline below 1 ms, by Request.exec's one check, not a
+         request that expires at once *)
+      expect
+        (analyze_payload ~id:1 ~deadline_ms:0 ~workload:"awk" [ "sp-cd-mf" ])
+        "invalid_request" 2;
       (* malformed JSON is a typed error, and the connection survives *)
       let fd = connect_raw path in
       Fun.protect
