@@ -24,7 +24,6 @@ type flat = {
   proc_bounds : (int * int) array;
   entry_pc : int;
   flat_data : (int * cell array) list;
-  label_pc : (string * int) list;
 }
 
 exception Link_error of string
@@ -81,9 +80,8 @@ let resolve prog =
     | Some pc -> pc
     | None -> link_err "entry procedure %S not defined" prog.entry
   in
-  let label_pc = Hashtbl.fold (fun l pc acc -> (l, pc) :: acc) labels [] in
   { code; proc_of; proc_names; proc_bounds; entry_pc;
-    flat_data = prog.data; label_pc }
+    flat_data = prog.data }
 
 let proc_of_pc flat pc = flat.proc_names.(flat.proc_of.(pc))
 

@@ -34,7 +34,6 @@ type flat = {
   proc_bounds : (int * int) array;  (** per procedure: [start, stop) *)
   entry_pc : int;
   flat_data : (int * cell array) list;
-  label_pc : (string * int) list;  (** resolved label table, for tests *)
 }
 
 exception Link_error of string

@@ -81,7 +81,7 @@ let validate_jobs j =
 let check_fuel = check_count "fuel"
 
 let resolve_fuel w fuel =
-  let* () = check_fuel fuel in
+  let* () = check_count ~workload:w.Workloads.Registry.name "fuel" fuel in
   Ok (Option.value fuel ~default:w.Workloads.Registry.fuel)
 
 (* The raising entry points refuse the same fuel, as [Invalid_argument]

@@ -449,9 +449,7 @@ val estimate_flat :
   workload:string ->
   Asm.Program.flat ->
   (estimated, Pipeline_error.t) result
-(** {!estimate} on an already-compiled program — the admission-control
-    path for the serve daemon's compiled-program cache, where a hit
-    must not recompile just to be costed. *)
+(** {!estimate} on an already-compiled program. *)
 
 val branch_stats : prepared -> Ilp.Stats.branch_stats
 (** Table 2 statistics, derived from the execution-time profile counts

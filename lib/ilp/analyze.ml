@@ -876,14 +876,14 @@ end
    whole chunk, entry by entry.  A stateful predictor (a group of its
    own) still classifies its entries in trace order, so results equal
    one single-config state per config.  The groups take turns on one
-   [bits] buffer. *)
+   [bits] buffer of [chunk] entries, the longest chunk it applies. *)
 type fanout = {
   n_configs : int;
   groups : (int array * State.t) array;  (* config positions, state *)
   bits : int array;
 }
 
-let fanout configs info =
+let fanout ~chunk configs info =
   let cfgs = Array.of_list configs in
   { n_configs = Array.length cfgs;
     groups =
@@ -893,7 +893,7 @@ let fanout configs info =
              ( Array.of_list positions,
                State.group (List.map (Array.get cfgs) positions) info ))
            (decode_groups configs));
-    bits = Array.make Vm.Trace.chunk_size 0 }
+    bits = Array.make chunk 0 }
 
 let apply_chunk fo ~pcs ~auxs ~len =
   let bits = fo.bits in
@@ -914,16 +914,19 @@ let finish_all fo ?completeness () =
   Array.to_list (Array.map Option.get out)
 
 let run_many ?completeness configs info trace =
-  let fo = fanout configs info in
+  let fo = fanout ~chunk:Vm.Trace.chunk_size configs info in
   Vm.Trace.iter_chunks (apply_chunk fo) trace;
   finish_all fo ?completeness ()
 
-(* The live-VM form buffers one chunk in two reused arrays and applies
-   it when full and at close. *)
+(* The live-VM form buffers [sink_chunk] entries in two reused arrays
+   and applies them when full and at close.  A quarter of a trace
+   chunk: a live replay's three buffers take 96 KiB, not 384. *)
+let sink_chunk = 4096
+
 let sink_many configs info =
-  let fo = fanout configs info in
-  let pcs = Array.make Vm.Trace.chunk_size 0 in
-  let auxs = Array.make Vm.Trace.chunk_size 0 in
+  let fo = fanout ~chunk:sink_chunk configs info in
+  let pcs = Array.make sink_chunk 0 in
+  let auxs = Array.make sink_chunk 0 in
   let len = ref 0 in
   let flush () =
     let n = !len in
@@ -935,7 +938,7 @@ let sink_many configs info =
     Array.unsafe_set pcs i pc;
     Array.unsafe_set auxs i aux;
     len := i + 1;
-    if i + 1 = Vm.Trace.chunk_size then flush ()
+    if i + 1 = sink_chunk then flush ()
   in
   (Vm.Trace.sink ~on_close:flush on_entry, finish_all fo)
 

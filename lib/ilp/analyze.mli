@@ -43,11 +43,11 @@
     entries (static flags plus the predicted branch direction) without
     touching machine times; {!State.apply} applies classified entries
     in trace order.  Any number of machine models advance over a single
-    trace pass ({!run_many}) or directly over a live VM execution
-    ({!sink_many}), a chunk of {!Vm.Trace.chunk_size} entries at a
-    time: each group of {!compatible} configs classifies the chunk once,
-    then one state per group applies it to all the group's machines in
-    lockstep, entry by entry. *)
+    trace pass ({!run_many}, a chunk of {!Vm.Trace.chunk_size} entries
+    at a time) or directly over a live VM execution ({!sink_many}, 4096
+    entries at a time): each group of {!compatible} configs classifies
+    the chunk once, then one state per group applies it to all the
+    group's machines in lockstep, entry by entry. *)
 
 type config = {
   machine : Machine.t;
@@ -221,7 +221,7 @@ val sink_many :
     [sink] (e.g. pass it to [Vm.Exec.run ~sink]), close it, and call
     [finish] afterwards (passing the execution's completeness, if it
     was not a clean halt).  This is {!run_many} without a materialized
-    trace: the sink buffers one chunk of entries and analyzes it, in
+    trace: the sink buffers 4096 entries and analyzes them, in
     {!run_many}'s order, when the buffer fills and when the sink is
     closed.  Memory stays O(program + touched addresses + scheduling
-    window + one chunk) regardless of trace length. *)
+    window + one buffer) regardless of trace length. *)

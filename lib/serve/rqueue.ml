@@ -53,12 +53,6 @@ let pop t =
   Mutex.unlock t.mutex;
   r
 
-let pop_opt t =
-  Mutex.lock t.mutex;
-  let r = Queue.take_opt t.q in
-  Mutex.unlock t.mutex;
-  r
-
 let close t =
   Mutex.lock t.mutex;
   t.closed <- true;

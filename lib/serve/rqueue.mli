@@ -26,8 +26,5 @@ val pop : 'a t -> 'a option
     items pushed before [close] are still delivered (drain
     semantics). *)
 
-val pop_opt : 'a t -> 'a option
-(** Non-blocking take; [None] when presently empty. *)
-
 val close : 'a t -> unit
 (** Refuse further pushes and wake every blocked popper.  Idempotent. *)

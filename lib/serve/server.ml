@@ -53,10 +53,13 @@ type t = {
   wake_w : Unix.file_descr;
   queue : job Rqueue.t;
   pool : Stdx.Pool.t;
-  cache : Asm.Program.flat Cache.t;
+  cache : (Asm.Program.flat * (float, Pipeline_error.t) result) Cache.t;
+      (** each program beside its admission price *)
   obs : Obs.Ctx.t;
   flag_draining : bool Atomic.t;
   in_flight : int Atomic.t;
+  computing : int Atomic.t;
+      (** dispatched requests whose reply is not yet computed *)
   conns_mutex : Mutex.t;
   mutable conns : (conn * Thread.t) list;
   mutable acceptor_thread : Thread.t option;
@@ -84,14 +87,12 @@ let now_ms () = Unix.gettimeofday () *. 1000.
 (* ------------------------------------------------------------------ *)
 (* Responses *)
 
-let respond t conn payload =
+(* A vanished peer is not a server problem: the reader thread will see
+   the close and clean up. *)
+let respond conn payload =
   Mutex.lock conn.c_wmutex;
-  let r = Protocol.write_frame conn.c_fd payload in
-  Mutex.unlock conn.c_wmutex;
-  (* a vanished peer is not a server problem; the reader thread will
-     see the close and clean up *)
-  ignore t;
-  match r with Ok () -> () | Error _ -> ()
+  ignore (Protocol.write_frame conn.c_fd payload);
+  Mutex.unlock conn.c_wmutex
 
 let count_error t (err : Pipeline_error.t) =
   Obs.Metrics.incr t.m_errors;
@@ -102,7 +103,7 @@ let count_error t (err : Pipeline_error.t) =
 
 let respond_err t conn id err =
   count_error t err;
-  respond t conn (Protocol.error_response ~id err)
+  respond conn (Protocol.error_response ~id err)
 
 let overloaded_error t ~workload ~depth =
   Pipeline_error.v ?workload Execute
@@ -149,44 +150,42 @@ let adhoc_workload ~max_fuel source =
     expected_result = None }
 
 (* The admission work proxy: M (the max breaker-free run) times the
-   largest statically bounded loop trip count.  Unbounded M prices as
-   [infinity]. *)
-let work_proxy (est : Harness.estimated) =
-  let max_trip =
-    List.fold_left
-      (fun acc (lf : Cfg.Estimate.loop_facts) ->
-        match lf.lf_trip with Some tr -> max acc tr | None -> acc)
-      1 est.e_est.Cfg.Estimate.loops
-  in
-  match est.e_est.Cfg.Estimate.max_run with
-  | Cfg.Estimate.Unbounded -> infinity
-  | Cfg.Estimate.Finite m -> float_of_int m *. float_of_int max_trip
-
-let admit t ~machines ~(w : Workloads.Registry.t) ~flat ~fuel
-    ~step_budget =
+   largest statically bounded loop trip count; unbounded M prices as
+   [infinity].  Priced once per program, as it enters the cache. *)
+let price t ~workload flat =
   match t.cfg.admission with
-  | Admit_off -> Ok (fuel, step_budget)
-  | Admit_reject ceiling | Admit_budget ceiling -> (
-    let* est =
-      Harness.estimate_flat ~machines ~workload:w.name flat
-    in
-    let estimate = work_proxy est in
-    if estimate <= ceiling then Ok (fuel, step_budget)
-    else
-      match t.cfg.admission with
-      | Admit_reject _ ->
-        Error
-          (Pipeline_error.v ~workload:w.name Analyze
-             (Rejected_by_estimate { spec = w.name; estimate; ceiling }))
-      | _ ->
-        (* down-budget: the request runs, but its fuel and analysis
-           steps are clamped to the ceiling *)
-        let cap = int_of_float ceiling in
-        let clamp = function
-          | Some v -> Some (min v cap)
-          | None -> Some cap
+  | Admit_off -> Ok 0.
+  | Admit_reject _ | Admit_budget _ ->
+    Pipeline_error.guard ~workload Analyze (fun () ->
+        let est = Cfg.Estimate.compute (Cfg.Analysis.analyze flat) in
+        let max_trip =
+          List.fold_left
+            (fun acc (lf : Cfg.Estimate.loop_facts) ->
+              match lf.lf_trip with Some tr -> max acc tr | None -> acc)
+            1 est.Cfg.Estimate.loops
         in
-        Ok (clamp fuel, clamp step_budget))
+        match est.Cfg.Estimate.max_run with
+        | Cfg.Estimate.Unbounded -> Ok infinity
+        | Cfg.Estimate.Finite m ->
+          Ok (float_of_int m *. float_of_int max_trip))
+
+let admit t ~workload ~price ~fuel ~step_budget =
+  match (t.cfg.admission, price) with
+  | Admit_off, _ -> Ok (fuel, step_budget)
+  | _, Error e -> Error e
+  | (Admit_reject ceiling | Admit_budget ceiling), Ok estimate
+    when estimate <= ceiling ->
+    Ok (fuel, step_budget)
+  | Admit_reject ceiling, Ok estimate ->
+    Error
+      (Pipeline_error.v ~workload Analyze
+         (Rejected_by_estimate { spec = workload; estimate; ceiling }))
+  | Admit_budget ceiling, Ok _ ->
+    (* down-budget: the request runs, but its fuel and analysis steps
+       are clamped to the ceiling *)
+    let cap = int_of_float ceiling in
+    let clamp v = Some (Option.fold ~none:cap ~some:(min cap) v) in
+    Ok (clamp fuel, clamp step_budget)
 
 let prepare t (a : Protocol.analyze) =
   let* machines = Ilp.Machine.of_specs a.a_machines in
@@ -209,7 +208,6 @@ let prepare t (a : Protocol.analyze) =
     quota ~workload ~what:"step budget" ~limit:t.cfg.max_step_budget
       a.a_step_budget
   in
-  (* [Request.exec] refuses a deadline below 1, as it does any count. *)
   let deadline_ms =
     match a.a_deadline_ms with
     | None -> t.cfg.default_deadline_ms
@@ -229,18 +227,22 @@ let prepare t (a : Protocol.analyze) =
                   hint =
                     Pipeline_error.suggest kname Fault.Injector.kind_names })))
   in
+  (* A count below 1 is refused before it costs a compile, a cache
+     slot or a queue slot. *)
+  let* () = Harness.check_count ~workload "fuel" fuel in
+  let* () = Harness.check_count ~workload "step budget" step_budget in
+  let* () = Harness.check_count ~workload "deadline_ms" deadline_ms in
   let key = Digest.to_hex (Digest.string w.Workloads.Registry.source) in
-  let* flat, cached =
+  let* (flat, price), cached =
     match Cache.find t.cache key with
-    | Some flat -> Ok (flat, true)
+    | Some entry -> Ok (entry, true)
     | None ->
       let* flat = Workloads.Registry.compile_result w in
-      Cache.add t.cache key flat;
-      Ok (flat, false)
+      let entry = (flat, price t ~workload flat) in
+      Cache.add t.cache key entry;
+      Ok (entry, false)
   in
-  let* fuel, step_budget =
-    admit t ~machines ~w ~flat ~fuel ~step_budget
-  in
+  let* fuel, step_budget = admit t ~workload ~price ~fuel ~step_budget in
   Ok
     { ad_workload = w; ad_flat = flat; ad_cached = cached;
       ad_specs =
@@ -301,7 +303,9 @@ let handle_analyze t conn ~id ~started (a : Protocol.analyze) =
       in
       Obs.Metrics.observe t.m_latency
         (int_of_float (now_ms () -. started));
-      respond t conn payload;
+      (* before the reply, which its client may answer at once *)
+      Atomic.decr t.computing;
+      respond conn payload;
       Atomic.decr t.in_flight;
       Obs.Metrics.set t.m_in_flight (Atomic.get t.in_flight);
       conn_job_done conn
@@ -340,7 +344,7 @@ let handle_stats t conn ~id =
   let connections = List.length t.conns in
   Mutex.unlock t.conns_mutex;
   Obs.Metrics.incr t.m_ok;
-  respond t conn
+  respond conn
     (Protocol.ok_stats ~id ~queue_depth:(Rqueue.length t.queue)
        ~queue_limit:t.cfg.queue_limit ~in_flight:(Atomic.get t.in_flight)
        ~connections
@@ -357,7 +361,7 @@ let handle_metrics t conn ~id =
   let buf = Buffer.create 4096 in
   Obs.Export.prometheus buf (Obs.Metrics.snapshot t.cfg.registry);
   Obs.Metrics.incr t.m_ok;
-  respond t conn (Protocol.ok_metrics ~id ~body:(Buffer.contents buf))
+  respond conn (Protocol.ok_metrics ~id ~body:(Buffer.contents buf))
 
 let invalid stage msg = Pipeline_error.v stage (Invalid_request msg)
 
@@ -391,7 +395,7 @@ let process t conn payload =
         (match req with
         | Ping id ->
           Obs.Metrics.incr t.m_ok;
-          respond t conn (Protocol.ok_ping ~id)
+          respond conn (Protocol.ok_ping ~id)
         | Stats id -> handle_stats t conn ~id
         | Metrics id -> handle_metrics t conn ~id
         | Analyze (id, a) -> handle_analyze t conn ~id ~started a);
@@ -443,27 +447,33 @@ let spawn_conn t fd =
   Mutex.unlock t.conns_mutex
 
 (* ------------------------------------------------------------------ *)
-(* Dispatcher: drain the bounded queue in batches onto the domain
-   pool.  [map_list] is a barrier per batch, which is fine: batches
-   are at most [jobs] wide, so a full pool is busy end to end and a
-   straggler holds back at most one batch boundary (requests carry
-   their own deadlines). *)
+(* Dispatcher: each dequeued request goes to an idle worker domain.
+   Only while every worker is busy does this domain run it: the await
+   helps, taking the newest queued task, which is this one.  A worker
+   is busy until its reply is computed ([computing]), not until its
+   task returns, which a closed-loop client's next request can beat.
+   With [split_trace] every request is awaited as it is handed out,
+   so the other domains apply its segments.  On a [jobs = 1] pool
+   [async] runs inline.  At close every request still running is
+   awaited, so the drain finds the pool idle. *)
 
-let rec dispatch t =
-  match Rqueue.pop t.queue with
-  | None -> ()
-  | Some first ->
-    let rec take acc n =
-      if n = 0 then List.rev acc
-      else
-        match Rqueue.pop_opt t.queue with
-        | Some j -> take (j :: acc) (n - 1)
-        | None -> List.rev acc
-    in
-    let batch = take [ first ] (t.cfg.jobs - 1) in
-    Obs.Metrics.set t.m_queue_depth (Rqueue.length t.queue);
-    ignore (Stdx.Pool.map_list t.pool (fun j -> j ()) batch);
-    dispatch t
+let dispatch t =
+  let rec loop running =
+    match Rqueue.pop t.queue with
+    | None -> List.iter (Stdx.Pool.await t.pool) running
+    | Some job ->
+      Obs.Metrics.set t.m_queue_depth (Rqueue.length t.queue);
+      let running = List.filter (fun f -> not (Stdx.Pool.poll f)) running in
+      let busy = Atomic.fetch_and_add t.computing 1 in
+      let fut = Stdx.Pool.async t.pool job in
+      if busy < t.cfg.jobs - 1 && not t.cfg.split_trace then
+        loop (fut :: running)
+      else begin
+        Stdx.Pool.await t.pool fut;
+        loop running
+      end
+  in
+  loop []
 
 (* ------------------------------------------------------------------ *)
 (* Acceptor + lifecycle *)
@@ -605,6 +615,7 @@ let start cfg =
         obs = Obs.Ctx.create ~registry:r ();
         flag_draining = Atomic.make false;
         in_flight = Atomic.make 0;
+        computing = Atomic.make 0;
         conns_mutex = Mutex.create ();
         conns = [];
         acceptor_thread = None;

@@ -4,21 +4,22 @@
     Unix-domain socket (and optionally TCP).  The moving parts:
 
     - {e connection threads} (systhreads) parse and validate frames,
-      enforce per-request quotas, run admission control, and enqueue
-      admitted work;
+      enforce per-request quotas and refuse any count below 1, run
+      admission control, and enqueue admitted work;
     - a {e bounded queue} ({!Rqueue}) between the connections and the
       compute is the backpressure point: a full queue sheds with the
       typed [Overloaded] error and a retry hint, so memory stays
       bounded under any request rate;
-    - a {e dispatcher thread} drains the queue in batches onto a
-      {!Stdx.Pool} of domains — requests execute truly in parallel,
-      each through {!Harness.Request.exec} with its own VM state, so
-      one request's fault or deadline never touches a neighbour;
+    - a {e dispatcher thread} hands each request to an idle worker
+      domain of a {!Stdx.Pool}, running it itself only while every
+      worker is busy — requests execute truly in parallel, each
+      through {!Harness.Request.exec} with its own VM state, so one
+      request's fault or deadline never touches a neighbour;
     - a {e compiled-program cache} ({!Cache}) keyed by the source
       digest skips the front end on repeats; cached and fresh replies
       are byte-identical (compilation is pure);
-    - {e admission control}: before any execution, the static
-      estimator ({!Harness.estimate_flat}) prices the request; with
+    - {e admission control}: the static estimator ({!Cfg.Estimate})
+      prices each program once, as it enters the cache; with
       [`Reject c] an unbounded breaker-free run or an M×trip proxy
       above [c] is refused up front ([Rejected_by_estimate], exit
       class 8), with [`Budget c] it is down-budgeted (fuel and step
@@ -50,19 +51,18 @@ type config = {
   max_step_budget : int;  (** per-request analysis-step ceiling *)
   default_deadline_ms : int option;
       (** deadline applied when a request names none.  A request's
-          deadline, its own or this one, goes to
-          {!Harness.Request.exec} unchecked: below 1 ms it is that
-          call's typed [Invalid_request] (code 2), as a fuel below 1
-          is. *)
+          deadline, its own or this one, below 1 ms is refused as a
+          fuel or step budget below 1 is: a typed [Invalid_request]
+          (code 2), before the cache, admission or the queue. *)
   idle_timeout_ms : int option;
       (** self-drain after this long with no connections and no work *)
   retry_after_ms : int;  (** hint carried by [Overloaded] responses *)
   registry : Obs.Metrics.t;  (** serve_* metrics land here *)
   split_trace : bool;
       (** hand each request the pool, so its replay runs through the
-          segment pipeline (DESIGN.md §15): a single large request
-          fans its trace across idle pool domains — results stay
-          bit-identical, so cached and fresh replies still agree. *)
+          segment pipeline (DESIGN.md §15): requests run one at a time,
+          the idle domains applying each one's segments, and replies
+          stay bit-identical. *)
 }
 
 val config :

@@ -262,6 +262,11 @@ let test_nonpositive_budgets () =
         (Harness.Run.exec (Harness.Run.config ~fuel:f spec1) [ w ]);
       expect "Request.exec" (fuel f)
         (Harness.Request.exec ~fuel:f ~specs:spec1 w);
+      (match Harness.Request.exec ~fuel:f ~specs:spec1 w with
+      | Error e ->
+        Alcotest.(check (option string)) "Request.exec names the workload"
+          (Some "awk") e.workload
+      | Ok _ -> Alcotest.fail "Request.exec: accepted");
       expect "Request.exec injected" (fuel f)
         (Harness.Request.exec ~fuel:f ~inject:(Fault.Injector.Fuel_cut, 1)
            ~specs:[] w);

@@ -28,9 +28,10 @@ let test_rqueue_shed () =
   check bool "first push" true (Rqueue.push q `A = `Ok 1);
   check bool "second push" true (Rqueue.push q `B = `Ok 2);
   check bool "third sheds at depth 2" true (Rqueue.push q `C = `Overloaded 2);
-  check bool "FIFO" true (Rqueue.pop_opt q = Some `A);
-  check bool "FIFO again" true (Rqueue.pop_opt q = Some `B);
-  check bool "shed item was dropped" true (Rqueue.pop_opt q = None)
+  Rqueue.close q;
+  check bool "FIFO" true (Rqueue.pop q = Some `A);
+  check bool "FIFO again" true (Rqueue.pop q = Some `B);
+  check bool "shed item was dropped" true (Rqueue.pop q = None)
 
 let test_rqueue_close_drains () =
   let q = Rqueue.create ~limit:4 in
@@ -387,17 +388,29 @@ let test_serve_analyze_matches_oneshot () =
       check bool "second reply is flagged cached" true
         (again <> got && normalize_cached again = got))
 
+(* A live scrape's Prometheus text, and one counter's value in it. *)
+let scrape path =
+  let resp = oneshot path (Protocol.metrics_request ~id:1) in
+  let j = match Jsonx.parse resp with Ok j -> j | Error e -> fail e in
+  Jsonx.(member "metrics" j |> Option.get |> to_str) |> Option.get
+
+let scraped path name =
+  let value line =
+    match String.split_on_char ' ' line with
+    | [ n; v ] when n = name -> int_of_string_opt v
+    | _ -> None
+  in
+  match List.find_map value (String.split_on_char '\n' (scrape path)) with
+  | Some v -> v
+  | None -> fail (name ^ " not scraped")
+
 let test_serve_metrics_scrape () =
   with_server "metrics" (fun _t path ->
       ignore
         (oneshot path
            (analyze_payload ~id:1 ~fuel:50_000 ~workload:"awk"
               [ "sp-cd-mf" ]));
-      let resp = oneshot path (Protocol.metrics_request ~id:2) in
-      let j = match Jsonx.parse resp with Ok j -> j | Error e -> fail e in
-      let body =
-        Jsonx.(member "metrics" j |> Option.get |> to_str) |> Option.get
-      in
+      let body = scrape path in
       let has sub =
         let n = String.length body and m = String.length sub in
         let rec go i =
@@ -514,51 +527,58 @@ let test_serve_admission_reject () =
       in
       check bool "cheap workload admitted" true ((decoded ok).Protocol.r_ok))
 
+(* A request that runs about a second: 8M steps on the seven paper
+   machines.  Clients and server share one domain in these tests, so
+   each stats poll or request arrival can wait a tick or two (~50 ms
+   each) for the runtime lock; this outlasts both, and a registry
+   workload at default fuel (~0.3 s) does not. *)
+let long_source =
+  {|int a[64];
+    int main(void) {
+      int i;
+      for (i = 0; i < 1000000; i = i + 1)
+        a[i % 64] = a[(i + 7) % 64] + 1;
+      return a[0];
+    }|}
+
+(* Send the long request from its own thread, and return once stats
+   show it running with nothing queued; the thread's reply lands in
+   the returned cell. *)
+let start_long path =
+  let long = Atomic.make None in
+  let long_t =
+    Thread.create
+      (fun () ->
+        Atomic.set long
+          (Some
+             (oneshot path
+                (Protocol.analyze_request ~id:1
+                   (Protocol.analyze ~source:long_source ())))))
+      ()
+  in
+  let stat json name =
+    Option.get Jsonx.(Option.bind (member name json) to_int)
+  in
+  let rec await_running () =
+    match Jsonx.parse (oneshot path (Protocol.stats_request ~id:1)) with
+    | Error e -> fail e
+    | Ok json ->
+      if stat json "queue_depth" = 0 && stat json "in_flight" = 1 then ()
+      else if Atomic.get long <> None then
+        fail "the long request finished before it was seen running"
+      else begin
+        Thread.delay 0.001;
+        await_running ()
+      end
+  in
+  await_running ();
+  (long, long_t)
+
 let test_serve_shed_under_burst () =
   with_server ~jobs:1 ~queue_limit:1 "shed" (fun _t path ->
       (* Overload is a precondition, not a race: the burst fires only
-         once a long request has been seen holding the only worker.
-         Clients and server share one domain here, so each stats poll
-         or burst arrival can wait a tick or two (~50 ms each) for the
-         runtime lock.  The long request (8M steps on the seven paper
-         machines, about a second) outlasts both; a registry workload
-         at default fuel (~0.3 s) does not. *)
-      let long_source =
-        {|int a[64];
-          int main(void) {
-            int i;
-            for (i = 0; i < 1000000; i = i + 1)
-              a[i % 64] = a[(i + 7) % 64] + 1;
-            return a[0];
-          }|}
-      in
-      let long = Atomic.make None in
-      let long_t =
-        Thread.create
-          (fun () ->
-            Atomic.set long
-              (Some
-                 (oneshot path
-                    (Protocol.analyze_request ~id:1
-                       (Protocol.analyze ~source:long_source ())))))
-          ()
-      in
-      let stat json name =
-        Option.get Jsonx.(Option.bind (member name json) to_int)
-      in
-      let rec await_worker_busy () =
-        match Jsonx.parse (oneshot path (Protocol.stats_request ~id:1)) with
-        | Error e -> fail e
-        | Ok json ->
-          if stat json "queue_depth" = 0 && stat json "in_flight" = 1 then ()
-          else if Atomic.get long <> None then
-            fail "the long request finished before it was seen running"
-          else begin
-            Thread.delay 0.001;
-            await_worker_busy ()
-          end
-      in
-      await_worker_busy ();
+         once the long request has been seen holding the only worker. *)
+      let long, long_t = start_long path in
       let n = 8 in
       let responses = Array.make n "" in
       let worker i =
@@ -620,6 +640,158 @@ let test_serve_drain_delivers_in_flight () =
             Unix.close fd2;
             fail "connect succeeded after drain"
           | exception Unix.Unix_error _ -> ()))
+
+(* One client's sequential requests each find the worker domain idle,
+   so the worker runs every one: the dispatcher's own domain runs a
+   request only while every worker is busy. *)
+let test_serve_dispatch_to_idle_worker () =
+  with_server ~jobs:2 "dispatch" (fun _t path ->
+      let fd = connect_raw path in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          List.iteri
+            (fun id w ->
+              let r =
+                decoded
+                  (roundtrip fd
+                     (analyze_payload ~id ~fuel:50_000 ~workload:w
+                        [ "sp-cd-mf" ]))
+              in
+              check bool (w ^ " answered ok") true r.Protocol.r_ok)
+            [ "awk"; "eqntott"; "awk"; "ccom"; "espresso"; "eqntott" ]);
+      check int "the worker took all six" 6
+        (scraped path "pool_steals_total"))
+
+(* Two clients in lockstep rounds: a round's two requests run at once,
+   the worker taking at least one, and every reply is the bytes a
+   one-domain daemon sends (modulo the cached flag). *)
+let test_serve_two_clients_lockstep () =
+  let rounds =
+    [ ("eqntott", "awk"); ("ccom", "espresso"); ("awk", "gcc");
+      ("latex", "eqntott") ]
+  in
+  let serve ~jobs name =
+    with_server ~jobs name (fun _t path ->
+        let a = connect_raw path and b = connect_raw path in
+        Fun.protect
+          ~finally:(fun () -> Unix.close a; Unix.close b)
+          (fun () ->
+            let send fd ~id w =
+              match
+                Protocol.write_frame fd
+                  (analyze_payload ~id ~fuel:50_000 ~workload:w
+                     [ "base"; "sp-cd-mf" ])
+              with
+              | Ok () -> ()
+              | Error e -> fail ("write: " ^ e)
+            in
+            let recv fd =
+              match Protocol.read_frame fd with
+              | Ok s -> normalize_cached s
+              | Error _ -> fail "no response frame"
+            in
+            let replies =
+              List.concat
+                (List.mapi
+                   (fun id (wa, wb) ->
+                     send a ~id wa;
+                     send b ~id wb;
+                     let ra = recv a in
+                     [ ra; recv b ])
+                   rounds)
+            in
+            (replies, scraped path "pool_steals_total")))
+  in
+  let want, _ = serve ~jobs:1 "lockstep-1" in
+  let got, steals = serve ~jobs:2 "lockstep-2" in
+  List.iteri
+    (fun i (w, g) ->
+      check bool (Printf.sprintf "reply %d ok" i) true (decoded g).Protocol.r_ok;
+      check string (Printf.sprintf "reply %d == jobs 1" i) w g)
+    (List.combine want got);
+  check bool
+    (Printf.sprintf "the worker took %d of 8, at least half" steals)
+    true (steals >= 4)
+
+(* A drain while a request runs on the worker: the dispatcher awaits it
+   before the teardown goes on, so a connection still open meanwhile
+   is answered (shed, typed) rather than cut, and the running request's
+   reply lands. *)
+let test_serve_drain_awaits_worker () =
+  with_server ~jobs:2 "drain-worker" (fun t path ->
+      let other = connect_raw path in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close other with Unix.Unix_error _ -> ())
+        (fun () ->
+          let long, long_t = start_long path in
+          (* the dispatcher has popped it; wait for the worker's take *)
+          let rec await_worker () =
+            if scraped path "pool_steals_total" = 1 then ()
+            else if Atomic.get long <> None then
+              fail "the long request finished before the worker took it"
+            else begin
+              Thread.delay 0.001;
+              await_worker ()
+            end
+          in
+          await_worker ();
+          Server.drain t;
+          (* past the teardown's start, well inside the long request *)
+          Thread.delay 0.1;
+          let r =
+            match
+              Protocol.write_frame other
+                (analyze_payload ~id:1 ~fuel:50_000 ~workload:"awk"
+                   [ "sp-cd-mf" ])
+            with
+            | Error e -> fail ("connection cut during the drain: " ^ e)
+            | Ok () -> (
+              match Protocol.read_frame other with
+              | Ok resp -> decoded resp
+              | Error _ -> fail "connection cut during the drain")
+          in
+          check bool "shed while draining" true
+            (r.Protocol.r_error_cause = Some "overloaded");
+          check bool "the long request was still running" true
+            (Atomic.get long = None);
+          Thread.join long_t;
+          check bool "the running request's reply landed" true
+            (decoded (Option.get (Atomic.get long))).Protocol.r_ok;
+          Server.wait t))
+
+(* A count below 1 is refused before the compile cache, admission and
+   the queue: after a refused deadline and a refused fuel, the first
+   valid request for the same workload still compiles. *)
+let test_serve_refused_before_cache () =
+  with_server "refused" (fun _t path ->
+      let member_str name j = Jsonx.(Option.bind (member name j) to_str) in
+      let refused what payload =
+        let resp = oneshot path payload in
+        check bool (what ^ " refused") true
+          (error_cause resp = Some "invalid_request");
+        match Jsonx.parse resp with
+        | Ok j ->
+          check (Alcotest.option string) (what ^ ": reply names its workload")
+            (Some "awk")
+            (Option.bind (Jsonx.member "error" j) (member_str "workload"))
+        | Error e -> fail e
+      in
+      refused "deadline 0"
+        (analyze_payload ~id:1 ~deadline_ms:0 ~workload:"awk" [ "sp-cd-mf" ]);
+      refused "fuel 0"
+        (analyze_payload ~id:1 ~fuel:0 ~workload:"awk" [ "sp-cd-mf" ]);
+      let ok =
+        oneshot path
+          (analyze_payload ~id:1 ~fuel:50_000 ~workload:"awk" [ "sp-cd-mf" ])
+      in
+      match Jsonx.parse ok with
+      | Ok j ->
+        check bool "valid request answered" true (decoded ok).Protocol.r_ok;
+        check (Alcotest.option bool) "valid request compiled, not cached"
+          (Some false)
+          Jsonx.(Option.bind (member "cached" j) to_bool)
+      | Error e -> fail e)
 
 let test_serve_idle_timeout () =
   with_server ~idle_timeout_ms:50 "idle" (fun t _path ->
@@ -761,6 +933,14 @@ let suite =
       test_serve_shed_under_burst;
     Alcotest.test_case "serve: drain delivers in-flight replies" `Quick
       test_serve_drain_delivers_in_flight;
+    Alcotest.test_case "serve: sequential requests all go to the worker"
+      `Quick test_serve_dispatch_to_idle_worker;
+    Alcotest.test_case "serve: two lockstep clients == jobs 1, worker busy"
+      `Slow test_serve_two_clients_lockstep;
+    Alcotest.test_case "serve: drain awaits the worker's request" `Slow
+      test_serve_drain_awaits_worker;
+    Alcotest.test_case "serve: counts below 1 refused before the cache"
+      `Quick test_serve_refused_before_cache;
     Alcotest.test_case "serve: idle timeout self-drains" `Quick
       test_serve_idle_timeout;
     Alcotest.test_case "client: retry surfaces I/O failure" `Quick
