@@ -319,7 +319,7 @@ let configs_of_specs ?(obs = Obs.Ctx.disabled) ?value_table ~flat ~info
    after the last observe call, so the clock is checked once more
    after [finish]. *)
 let replay ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled) ?pool
-    ?(task_index = 0) ?deadline p specs =
+    ?(task_index = 0) ?deadline ?sink_chunk p specs =
   let name = p.workload.Workloads.Registry.name in
   Option.iter Obs.Deadline.check deadline;
   Obs.Span.with_span span_buf ~workload:name "analyze" (fun () ->
@@ -352,7 +352,7 @@ let replay ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled) ?pool
               let o = finish ?completeness () in
               Counters.record_segments o.Ilp.Segmented.segments;
               o.Ilp.Segmented.results )
-        | _ -> Ilp.Analyze.sink_many configs p.info
+        | _ -> Ilp.Analyze.sink_many ?chunk:sink_chunk configs p.info
       in
       let o =
         Vm.Exec.run ?mem_words:p.mem_words ~fuel:p.fuel ~record:false
@@ -438,7 +438,7 @@ module Request = struct
 
   let exec ?(obs = Obs.Ctx.disabled) ?(span_buf = Obs.Span.disabled) ?options
       ?flat ?fuel ?step_budget ?mem_words ?deadline_ms ?inject ?pool
-      ?task_index ~specs w =
+      ?task_index ?sink_chunk ~specs w =
     let name = w.Workloads.Registry.name in
     let* fuel = resolve_fuel w fuel in
     let* () = check_count ~workload:name "deadline_ms" deadline_ms in
@@ -479,7 +479,8 @@ module Request = struct
                     ~span_buf ~train_values:(specs_need_values specs)
                     ?deadline ~fuel w flat
                 in
-                ( replay ~obs ~span_buf ?pool ?task_index ?deadline p specs,
+                ( replay ~obs ~span_buf ?pool ?task_index ?deadline
+                    ?sink_chunk p specs,
                   p.steps, p.status, None )
             in
             Ok { r_flat = flat; r_results; r_steps; r_status; r_injected }))

@@ -293,6 +293,7 @@ module Run : sig
     ?pool:Stdx.Pool.t ->
     ?task_index:int ->
     ?deadline:Obs.Deadline.t ->
+    ?sink_chunk:int ->
     prepared ->
     spec list ->
     Ilp.Analyze.result list
@@ -313,9 +314,10 @@ module Run : sig
       with this call's domain as the producer and the pool hosting the
       apply tasks, and adds its hand-offs to {!Counters.segments}.
       Without one, or with a one-domain pool, it replays through
-      {!Ilp.Analyze.sink_many}; results are bit-identical either way.
-      [task_index] namespaces the per-segment span buffers so
-      workloads never collide. *)
+      {!Ilp.Analyze.sink_many}, buffering [sink_chunk] entries (its
+      [chunk]); results are bit-identical either way.  [task_index]
+      namespaces the per-segment span buffers so workloads never
+      collide. *)
 end
 
 (** The one per-workload pipeline: one workload, per-request quotas,
@@ -350,6 +352,7 @@ module Request : sig
     ?inject:Fault.Injector.kind * int ->
     ?pool:Stdx.Pool.t ->
     ?task_index:int ->
+    ?sink_chunk:int ->
     specs:spec list ->
     Workloads.Registry.t ->
     (reply, Pipeline_error.t) result
@@ -384,7 +387,10 @@ module Request : sig
       the check hook runs per segment on the producer and in every
       apply task, and propagates through the futures.  [task_index]
       (default 0) namespaces those per-segment span buffers, as in
-      {!Run.on_prepared}. *)
+      {!Run.on_prepared}.  Without such a pool the replay buffers
+      [sink_chunk] entries between analyses ({!Ilp.Analyze.sink_many}'s
+      [chunk]); a caller running several requests at once passes less
+      than the default to keep each replay small. *)
 end
 
 (** Outcome of running the static verifier (and optionally the dynamic
@@ -449,7 +455,9 @@ val estimate_flat :
   workload:string ->
   Asm.Program.flat ->
   (estimated, Pipeline_error.t) result
-(** {!estimate} on an already-compiled program. *)
+(** {!estimate} on an already-compiled program — the admission-control
+    path for the serve daemon's compiled-program cache, where a hit
+    must not recompile just to be costed. *)
 
 val branch_stats : prepared -> Ilp.Stats.branch_stats
 (** Table 2 statistics, derived from the execution-time profile counts

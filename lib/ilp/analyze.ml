@@ -918,15 +918,12 @@ let run_many ?completeness configs info trace =
   Vm.Trace.iter_chunks (apply_chunk fo) trace;
   finish_all fo ?completeness ()
 
-(* The live-VM form buffers [sink_chunk] entries in two reused arrays
-   and applies them when full and at close.  A quarter of a trace
-   chunk: a live replay's three buffers take 96 KiB, not 384. *)
-let sink_chunk = 4096
-
-let sink_many configs info =
-  let fo = fanout ~chunk:sink_chunk configs info in
-  let pcs = Array.make sink_chunk 0 in
-  let auxs = Array.make sink_chunk 0 in
+(* The live-VM form buffers [chunk] entries in two reused arrays and
+   applies them when full and at close. *)
+let sink_many ?(chunk = Vm.Trace.chunk_size) configs info =
+  let fo = fanout ~chunk configs info in
+  let pcs = Array.make chunk 0 in
+  let auxs = Array.make chunk 0 in
   let len = ref 0 in
   let flush () =
     let n = !len in
@@ -938,7 +935,7 @@ let sink_many configs info =
     Array.unsafe_set pcs i pc;
     Array.unsafe_set auxs i aux;
     len := i + 1;
-    if i + 1 = sink_chunk then flush ()
+    if i + 1 = chunk then flush ()
   in
   (Vm.Trace.sink ~on_close:flush on_entry, finish_all fo)
 

@@ -43,11 +43,11 @@
     entries (static flags plus the predicted branch direction) without
     touching machine times; {!State.apply} applies classified entries
     in trace order.  Any number of machine models advance over a single
-    trace pass ({!run_many}, a chunk of {!Vm.Trace.chunk_size} entries
-    at a time) or directly over a live VM execution ({!sink_many}, 4096
-    entries at a time): each group of {!compatible} configs classifies
-    the chunk once, then one state per group applies it to all the
-    group's machines in lockstep, entry by entry. *)
+    trace pass ({!run_many}) or directly over a live VM execution
+    ({!sink_many}), a chunk of {!Vm.Trace.chunk_size} entries at a
+    time: each group of {!compatible} configs classifies the chunk once,
+    then one state per group applies it to all the group's machines in
+    lockstep, entry by entry. *)
 
 type config = {
   machine : Machine.t;
@@ -214,14 +214,15 @@ val run_many :
     result with how the traced execution ended. *)
 
 val sink_many :
-  config list -> Program_info.t ->
+  ?chunk:int -> config list -> Program_info.t ->
   Vm.Trace.sink
   * (?completeness:Pipeline_error.completeness -> unit -> result list)
 (** [sink_many configs info] is [(sink, finish)]: feed trace entries to
     [sink] (e.g. pass it to [Vm.Exec.run ~sink]), close it, and call
     [finish] afterwards (passing the execution's completeness, if it
     was not a clean halt).  This is {!run_many} without a materialized
-    trace: the sink buffers 4096 entries and analyzes them, in
-    {!run_many}'s order, when the buffer fills and when the sink is
-    closed.  Memory stays O(program + touched addresses + scheduling
-    window + one buffer) regardless of trace length. *)
+    trace: the sink buffers [chunk] entries (default
+    {!Vm.Trace.chunk_size}) and analyzes them, in {!run_many}'s order,
+    when the buffer fills and when the sink is closed; results do not
+    depend on [chunk].  Memory stays O(program + touched addresses +
+    scheduling window + [chunk]) regardless of trace length. *)

@@ -53,8 +53,8 @@ type t = {
   wake_w : Unix.file_descr;
   queue : job Rqueue.t;
   pool : Stdx.Pool.t;
-  cache : (Asm.Program.flat * (float, Pipeline_error.t) result) Cache.t;
-      (** each program beside its admission price *)
+  cache : (Asm.Program.flat * (float, Pipeline_error.t) result option) Cache.t;
+      (** each program beside its admission price, when admission is on *)
   obs : Obs.Ctx.t;
   flag_draining : bool Atomic.t;
   in_flight : int Atomic.t;
@@ -87,12 +87,14 @@ let now_ms () = Unix.gettimeofday () *. 1000.
 (* ------------------------------------------------------------------ *)
 (* Responses *)
 
-(* A vanished peer is not a server problem: the reader thread will see
-   the close and clean up. *)
-let respond conn payload =
+let respond t conn payload =
   Mutex.lock conn.c_wmutex;
-  ignore (Protocol.write_frame conn.c_fd payload);
-  Mutex.unlock conn.c_wmutex
+  let r = Protocol.write_frame conn.c_fd payload in
+  Mutex.unlock conn.c_wmutex;
+  (* a vanished peer is not a server problem; the reader thread will
+     see the close and clean up *)
+  ignore t;
+  match r with Ok () -> () | Error _ -> ()
 
 let count_error t (err : Pipeline_error.t) =
   Obs.Metrics.incr t.m_errors;
@@ -103,7 +105,7 @@ let count_error t (err : Pipeline_error.t) =
 
 let respond_err t conn id err =
   count_error t err;
-  respond conn (Protocol.error_response ~id err)
+  respond t conn (Protocol.error_response ~id err)
 
 let overloaded_error t ~workload ~depth =
   Pipeline_error.v ?workload Execute
@@ -150,37 +152,39 @@ let adhoc_workload ~max_fuel source =
     expected_result = None }
 
 (* The admission work proxy: M (the max breaker-free run) times the
-   largest statically bounded loop trip count; unbounded M prices as
-   [infinity].  Priced once per program, as it enters the cache. *)
+   largest statically bounded loop trip count.  Unbounded M prices as
+   [infinity]. *)
+let work_proxy (est : Harness.estimated) =
+  let max_trip =
+    List.fold_left
+      (fun acc (lf : Cfg.Estimate.loop_facts) ->
+        match lf.lf_trip with Some tr -> max acc tr | None -> acc)
+      1 est.e_est.Cfg.Estimate.loops
+  in
+  match est.e_est.Cfg.Estimate.max_run with
+  | Cfg.Estimate.Unbounded -> infinity
+  | Cfg.Estimate.Finite m -> float_of_int m *. float_of_int max_trip
+
+(* With admission on, each program is priced once, as it enters the cache. *)
 let price t ~workload flat =
-  match t.cfg.admission with
-  | Admit_off -> Ok 0.
-  | Admit_reject _ | Admit_budget _ ->
-    Pipeline_error.guard ~workload Analyze (fun () ->
-        let est = Cfg.Estimate.compute (Cfg.Analysis.analyze flat) in
-        let max_trip =
-          List.fold_left
-            (fun acc (lf : Cfg.Estimate.loop_facts) ->
-              match lf.lf_trip with Some tr -> max acc tr | None -> acc)
-            1 est.Cfg.Estimate.loops
-        in
-        match est.Cfg.Estimate.max_run with
-        | Cfg.Estimate.Unbounded -> Ok infinity
-        | Cfg.Estimate.Finite m ->
-          Ok (float_of_int m *. float_of_int max_trip))
+  if t.cfg.admission = Admit_off then None
+  else
+    Some
+      (Result.map work_proxy
+         (Harness.estimate_flat ~machines:[] ~workload flat))
 
 let admit t ~workload ~price ~fuel ~step_budget =
   match (t.cfg.admission, price) with
-  | Admit_off, _ -> Ok (fuel, step_budget)
-  | _, Error e -> Error e
-  | (Admit_reject ceiling | Admit_budget ceiling), Ok estimate
+  | Admit_off, _ | _, None -> Ok (fuel, step_budget)
+  | _, Some (Error e) -> Error e
+  | (Admit_reject ceiling | Admit_budget ceiling), Some (Ok estimate)
     when estimate <= ceiling ->
     Ok (fuel, step_budget)
-  | Admit_reject ceiling, Ok estimate ->
+  | Admit_reject ceiling, Some (Ok estimate) ->
     Error
       (Pipeline_error.v ~workload Analyze
          (Rejected_by_estimate { spec = workload; estimate; ceiling }))
-  | Admit_budget ceiling, Ok _ ->
+  | Admit_budget ceiling, Some (Ok _) ->
     (* down-budget: the request runs, but its fuel and analysis steps
        are clamped to the ceiling *)
     let cap = int_of_float ceiling in
@@ -278,13 +282,15 @@ let handle_analyze t conn ~id ~started (a : Protocol.analyze) =
                [split_trace], handing it the pool lets the segment
                pipeline apply on idle domains while this one runs the
                VM (its await helps drain the queue, so the nested wait
-               cannot deadlock). *)
+               cannot deadlock).  Requests run two at once, so a replay
+               buffers a quarter chunk: both fit in about one's memory. *)
             Harness.Request.exec ~obs:t.obs ~flat:ad.ad_flat
               ?fuel:ad.ad_fuel ?step_budget:ad.ad_step_budget
               ?mem_words:ad.ad_mem_words ?deadline_ms:ad.ad_deadline_ms
               ?inject:ad.ad_inject
               ?pool:(if t.cfg.split_trace then Some t.pool else None)
-              ~specs:ad.ad_specs ad.ad_workload
+              ~sink_chunk:(Vm.Trace.chunk_size / 4) ~specs:ad.ad_specs
+              ad.ad_workload
           with
           | Ok reply ->
             Obs.Metrics.incr t.m_ok;
@@ -305,7 +311,7 @@ let handle_analyze t conn ~id ~started (a : Protocol.analyze) =
         (int_of_float (now_ms () -. started));
       (* before the reply, which its client may answer at once *)
       Atomic.decr t.computing;
-      respond conn payload;
+      respond t conn payload;
       Atomic.decr t.in_flight;
       Obs.Metrics.set t.m_in_flight (Atomic.get t.in_flight);
       conn_job_done conn
@@ -344,7 +350,7 @@ let handle_stats t conn ~id =
   let connections = List.length t.conns in
   Mutex.unlock t.conns_mutex;
   Obs.Metrics.incr t.m_ok;
-  respond conn
+  respond t conn
     (Protocol.ok_stats ~id ~queue_depth:(Rqueue.length t.queue)
        ~queue_limit:t.cfg.queue_limit ~in_flight:(Atomic.get t.in_flight)
        ~connections
@@ -361,7 +367,7 @@ let handle_metrics t conn ~id =
   let buf = Buffer.create 4096 in
   Obs.Export.prometheus buf (Obs.Metrics.snapshot t.cfg.registry);
   Obs.Metrics.incr t.m_ok;
-  respond conn (Protocol.ok_metrics ~id ~body:(Buffer.contents buf))
+  respond t conn (Protocol.ok_metrics ~id ~body:(Buffer.contents buf))
 
 let invalid stage msg = Pipeline_error.v stage (Invalid_request msg)
 
@@ -395,7 +401,7 @@ let process t conn payload =
         (match req with
         | Ping id ->
           Obs.Metrics.incr t.m_ok;
-          respond conn (Protocol.ok_ping ~id)
+          respond t conn (Protocol.ok_ping ~id)
         | Stats id -> handle_stats t conn ~id
         | Metrics id -> handle_metrics t conn ~id
         | Analyze (id, a) -> handle_analyze t conn ~id ~started a);
@@ -447,15 +453,12 @@ let spawn_conn t fd =
   Mutex.unlock t.conns_mutex
 
 (* ------------------------------------------------------------------ *)
-(* Dispatcher: each dequeued request goes to an idle worker domain.
-   Only while every worker is busy does this domain run it: the await
-   helps, taking the newest queued task, which is this one.  A worker
-   is busy until its reply is computed ([computing]), not until its
-   task returns, which a closed-loop client's next request can beat.
-   With [split_trace] every request is awaited as it is handed out,
-   so the other domains apply its segments.  On a [jobs = 1] pool
-   [async] runs inline.  At close every request still running is
-   awaited, so the drain finds the pool idle. *)
+(* Dispatcher: each dequeued request goes to an idle worker domain;
+   only while every worker is busy does this domain run it (the await
+   helps, taking the newest task: this one).  A worker is busy until
+   its reply is computed ([computing]); its task may return ms later.
+   On a [jobs = 1] pool [async] runs inline.  At close every request
+   still running is awaited, so the drain finds the pool idle. *)
 
 let dispatch t =
   let rec loop running =
@@ -466,8 +469,7 @@ let dispatch t =
       let running = List.filter (fun f -> not (Stdx.Pool.poll f)) running in
       let busy = Atomic.fetch_and_add t.computing 1 in
       let fut = Stdx.Pool.async t.pool job in
-      if busy < t.cfg.jobs - 1 && not t.cfg.split_trace then
-        loop (fut :: running)
+      if busy < t.cfg.jobs - 1 then loop (fut :: running)
       else begin
         Stdx.Pool.await t.pool fut;
         loop running

@@ -18,8 +18,9 @@
     - a {e compiled-program cache} ({!Cache}) keyed by the source
       digest skips the front end on repeats; cached and fresh replies
       are byte-identical (compilation is pure);
-    - {e admission control}: the static estimator ({!Cfg.Estimate})
-      prices each program once, as it enters the cache; with
+    - {e admission control}: the static estimator
+      ({!Harness.estimate_flat}) prices each program once, as it
+      enters the cache; with
       [`Reject c] an unbounded breaker-free run or an M×trip proxy
       above [c] is refused up front ([Rejected_by_estimate], exit
       class 8), with [`Budget c] it is down-budgeted (fuel and step
@@ -60,9 +61,9 @@ type config = {
   registry : Obs.Metrics.t;  (** serve_* metrics land here *)
   split_trace : bool;
       (** hand each request the pool, so its replay runs through the
-          segment pipeline (DESIGN.md §15): requests run one at a time,
-          the idle domains applying each one's segments, and replies
-          stay bit-identical. *)
+          segment pipeline (DESIGN.md §15): idle worker domains apply
+          a request's segments — results stay bit-identical, so cached
+          and fresh replies still agree. *)
 }
 
 val config :

@@ -316,7 +316,7 @@ let test_machine_ordering wname () =
 (* The chunk-major fan-out against an entry-major reference written
    here: every state steps entry by entry, each entry classified by its
    own config's decoder.  Trace lengths straddle the chunk size and
-   [sink_many]'s 4096-entry buffer; the
+   the serve daemon's quarter-chunk sink buffer; the
    configs mix decode groups (one profile, perfect and btfn record
    shared by several machines, a fresh 2-bit counter per config, an
    inline-off config) and step budgets that cut inside a chunk. *)
@@ -389,16 +389,19 @@ let test_chunk_boundaries () =
         (Printf.sprintf "run_many, %d entries" n)
         want
         (Ilp.Analyze.run_many ~completeness (configs ()) info o.trace);
-      let sink, finish = Ilp.Analyze.sink_many (configs ()) info in
-      let o' = Vm.Exec.run ~fuel:n ~record:false ~sink flat in
-      check_same
-        (Printf.sprintf "sink_many, %d entries" n)
-        want
-        (finish ~completeness:(Vm.Exec.completeness_of o') ());
+      List.iter
+        (fun chunk ->
+          let sink, finish = Ilp.Analyze.sink_many ~chunk (configs ()) info in
+          let o' = Vm.Exec.run ~fuel:n ~record:false ~sink flat in
+          check_same
+            (Printf.sprintf "sink_many, %d entries, chunk %d" n chunk)
+            want
+            (finish ~completeness:(Vm.Exec.completeness_of o') ()))
+        [ c; c / 4 ];
       if n = (2 * c) + 7 then
         Alcotest.(check int) "every budget cut inside the trace" 3
           (List.length (List.filter budget_cut want)))
-    [ 0; 1; 4095; 4096; 4097; c - 1; c; c + 1; (2 * c) + 7 ]
+    [ 0; 1; (c / 4) - 1; c / 4; (c / 4) + 1; c - 1; c; c + 1; (2 * c) + 7 ]
 
 (* The per-entry step allocates nothing: seven paper machines over a
    200k-step trace stay under one minor-heap word per entry (the
