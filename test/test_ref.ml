@@ -39,6 +39,133 @@ let test_paper_machines () =
         Ilp.Machine.all_paper got)
     (Lazy.force prepared)
 
+(* One decode group of twelve machines: the paper seven plus one
+   carrying each optional constraint (window, fetch, value prediction,
+   latency with finite flows, a window on a speculative machine).  One
+   machine collects segments, and two have step budgets that cut the
+   trace a third and two thirds of the way through.  Each machine must
+   equal the reference run alone, budget included. *)
+let mixed_specs =
+  [ "sp-cd-mf,window=256"; "sp-cd-mf,fetch=4"; "sp-cd-mf,vp";
+    "cd,lat=real,flows=2"; "sp,window=64" ]
+
+let test_mixed_group () =
+  let machines =
+    Ilp.Machine.all_paper
+    @ List.map (fun s -> Result.get_ok (Ilp.Machine.of_spec s)) mixed_specs
+  in
+  List.iter
+    (fun (name, (p : Harness.prepared), trace) ->
+      let predictor = Harness.profile_predictor p in
+      let value_table =
+        Option.map Predict.Predictor.Value.table p.Harness.values
+      in
+      let counted =
+        (Ref_analyze.analyze ~predictor Ilp.Machine.base p.info trace).counted
+      in
+      let plan =
+        List.mapi
+          (fun i m ->
+            let step_budget =
+              if i = 2 then Some (counted / 3)
+              else if i = 9 then Some (2 * counted / 3)
+              else None
+            in
+            (m, step_budget, i = 10))
+          machines
+      in
+      let configs =
+        List.map
+          (fun (m, step_budget, collect_segments) ->
+            Ilp.Analyze.config ~collect_segments ?step_budget ?value_table m
+              predictor)
+          plan
+      in
+      List.iter2
+        (fun (m, step_budget, collect_segments) (r : Ilp.Analyze.result) ->
+          let what = Printf.sprintf "%s %s" name m.Ilp.Machine.name in
+          Alcotest.check result_t what
+            (Ref_analyze.analyze ~collect_segments ?step_budget ?value_table
+               ~predictor m p.info trace)
+            r;
+          Alcotest.(check bool) (what ^ ": cut") (step_budget <> None)
+            (r.completeness <> p.completeness))
+        plan
+        (Ilp.Analyze.run_many ~completeness:p.completeness configs p.info
+           trace))
+    (Lazy.force prepared)
+
+(* The group keeps machine [m]'s last write of address [a] at word
+   [a * nm + m] of one paged table, so a group's words straddle two
+   pages when [(a * nm) land 4095 > 4096 - nm].  No workload is known
+   to reach such an address; this program loads and stores nothing
+   else, besides the addresses whose words end a page exactly.  Groups
+   of 3, 7 and 8 machines (8 divides a page: no address straddles). *)
+let test_page_straddle () =
+  let open Ilp.Program_info in
+  (* Block 0: load, dependent store, second load, branch on it; block 1:
+     a store of the first load's result. *)
+  let kind = Risc.Insn.[| Plain; Plain; Plain; Cond_branch; Plain |] in
+  let mem = [| Mem_load; Mem_store; Mem_load; No_mem; Mem_store |] in
+  let info =
+    make ~kind
+      ~uses:[| [| 2 |]; [| 1 |]; [| 3 |]; [| 3 |]; [| 1; 3 |] |]
+      ~defs:[| [| 1 |]; [||]; [| 3 |]; [||]; [||] |]
+      ~mem ~sp_adjust:(Array.make 5 false) ~loop_overhead:(Array.make 5 false)
+      ~lat:[| Lat_mem; Lat_mem; Lat_mem; Lat_int; Lat_mem |]
+      ~block_of:[| 0; 0; 0; 0; 1 |] ~block_start:[| 0; 4 |] ~n_blocks:2
+      ~rdf:[| [||]; [| 0 |] |]
+  in
+  let predictor =
+    { Predict.Predictor.name = "taken";
+      predict = (fun ~pc:_ ~taken:_ -> true);
+      stateful = false }
+  in
+  let machines =
+    Ilp.Machine.all_paper
+    @ [ Result.get_ok (Ilp.Machine.of_spec "sp-cd-mf,lat=real,window=4") ]
+  in
+  List.iter
+    (fun nm ->
+      let edge =
+        List.filter
+          (fun a -> (a * nm) land 4095 >= 4096 - nm)
+          (List.init (3 * 4096) Fun.id)
+      in
+      let addrs = Array.of_list edge in
+      let k = Array.length addrs in
+      let trace = Vm.Trace.create () in
+      for i = 0 to 599 do
+        Array.iteri
+          (fun pc m ->
+            let aux =
+              if kind.(pc) = Risc.Insn.Cond_branch then (i / 3) land 1
+              else if m <> No_mem then addrs.((i * 7 + pc) mod k)
+              else -1
+            in
+            Vm.Trace.push trace ~pc ~aux)
+          mem
+      done;
+      let ms = List.filteri (fun i _ -> i < nm) (List.rev machines) in
+      let configs =
+        List.map
+          (fun m ->
+            Ilp.Analyze.config ~collect_segments:true ~mem_words:8 m
+              predictor)
+          ms
+      in
+      List.iter2
+        (fun m r ->
+          Alcotest.check result_t
+            (Printf.sprintf "%d machines (%d edge addresses): %s" nm k
+               m.Ilp.Machine.name)
+            (Ref_analyze.analyze ~collect_segments:true ~predictor m info
+               trace)
+            r)
+        ms
+        (Ilp.Analyze.run_many configs info trace))
+    [ 3; 7; 8 ]
+
 (* Random lattice points (window, fetch, flows, realistic latency,
    value prediction) on a random workload, with inlining and unrolling
    drawn too. *)
@@ -186,5 +313,9 @@ let prop_random_traces =
 let suite =
   [ Alcotest.test_case "ten workloads x seven machines" `Quick
       test_paper_machines;
+    Alcotest.test_case "ten workloads x one mixed group with budgets" `Quick
+      test_mixed_group;
+    Alcotest.test_case "group words straddling a memory page" `Quick
+      test_page_straddle;
     QCheck_alcotest.to_alcotest prop_random_machines;
     QCheck_alcotest.to_alcotest prop_random_traces ]
