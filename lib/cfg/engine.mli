@@ -43,8 +43,6 @@ type ctx = {
   liveness : Dataflow.Liveness.t array Lazy.t;
 }
 
-val create_ctx : Analysis.t -> ctx
-
 type pass = {
   p_name : string;  (** stable kebab-case class name *)
   p_help : string;

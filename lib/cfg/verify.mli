@@ -48,14 +48,6 @@ val passes : Engine.pass list
 val kind_name : kind -> string
 (** The kebab-case name of the class's pass. *)
 
-val severity_of : kind -> severity
-
-val save_protocol_read : int Risc.Insn.t -> int -> bool
-(** Is a read of unified register [r] by this instruction part of the
-    register-save protocol (a store of [r] to a stack slot)?  Such reads
-    may legitimately see a never-written callee-saved register and are
-    exempt from the uninitialized-read checks. *)
-
 module Dynamic : sig
   type violation = {
     index : int;  (** trace entry index *)

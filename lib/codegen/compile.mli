@@ -33,9 +33,6 @@ exception Error of string
     conditional moves, removing branches from the instruction stream. *)
 type options = { if_convert : bool }
 
-val default_options : options
-(** [{ if_convert = false }], the paper's baseline compiler. *)
-
 val program : ?options:options -> Minic.Ast.program -> Asm.Program.t
 (** Compiles a type-checked program ({!Minic.Sema.check} must have run:
     expression types must be annotated). *)

@@ -59,8 +59,6 @@ type stage =
   | Analyze
   | Report
 
-val stage_name : stage -> string
-
 type cause =
   | Unknown_workload of { name : string; hint : string option }
   | Unknown_machine of { name : string; hint : string option }

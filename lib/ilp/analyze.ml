@@ -110,52 +110,45 @@ type result = {
    is the one per-entry transition, and it advances every machine of the
    group at once.
 
-   The machines of a group differ only in their knobs and their times.
-   Everything else is done once per entry for all of them: the flag
-   tests, the block-sequence and frame-stack upkeep, the uses/defs/page
-   lookups and the control-dependence scan.  Which RDF candidate wins
-   depends only on [cand_seq], [b_proc], [cur_entry] and [ctx_seq],
-   which every machine shares; only the times it carries differ.  The
-   per-machine times are interleaved at stride [nm] (the group's
-   machine count) so that one cache line serves every machine:
-   [reg*nm + m] in [reg_time], [addr*nm + m] in [mem], [blk*nm + m] in
-   [b_time]/[b_mchain].  Each machine's knobs and scalar times sit in
-   one 16-word slot of [ms].  The counts the group shares ([counted],
-   [dyn_branches], [mispredicts]) are frozen per machine when its step
-   budget cuts it off.
+   The machines of a group differ only in their constraints and their
+   times.  Everything else is done once per entry for all of them: the
+   flag tests, the block-sequence and frame-stack upkeep, the uses/defs
+   and page lookups and the control-dependence scan.  Which RDF
+   candidate wins depends only on [cand_seq], [b_proc], [cur_entry] and
+   [ctx_seq], which every machine shares; only the times it carries
+   differ.  Per-machine times are interleaved at stride [nm] (the
+   group's machine count): [reg*nm + m] in [reg_time], [addr*nm + m] in
+   [mem], [blk*nm + m] in [b_time]/[b_mchain], and each per-machine
+   scalar at [field*nm + m] in [w].
 
-   The loop allocates nothing: its helpers are closed top-level
-   functions, since a local closure would be allocated on every
-   entry. *)
+   A timed entry runs column by column, each step one tight loop over
+   the group: fill the scratch [row] with every machine's issue time
+   (its control word, each register use, the load, the +1), then write
+   each def, the store, the max time and the branch bookkeeping.  A
+   constraint only some machines carry (flows on serializing branches,
+   fetch, window, latency, value prediction, segments) is a pass over
+   the index array of those machines alone.  A budget cut freezes a
+   machine by taking its result at the cut; the loops go on writing its
+   columns, which nothing reads again.  The loop allocates nothing: its
+   helpers are closed top-level functions. *)
 module State = struct
-  (* The words of machine [m]'s slot, at [m * slot + _]. *)
-  let slot = 16
-  let s_knobs = 0  (* k_* bits, fetch width above [fetch_shift] *)
-  let s_ctrl = 1  (* which word the control constraint reads *)
-  let s_win_pos = 2
-  let s_last_branch = 3
-  let s_last_mispred = 4
-  let s_seq_cycles = 5  (* non-unit latency only; else = counted *)
-  let s_max_time = 6
-  let s_seg_len = 7
-  let s_seg_base = 8
-  let s_seg_max = 9
-  let s_r_time = 10  (* resolved control dependence *)
-  let s_r_mchain = 11
-  let s_ctx_time = 12  (* the call site's, for this activation *)
-  let s_ctx_mchain = 13
-  let s_zero = 14  (* always 0: ORACLE's control constraint *)
-
-  (* Knob bits. *)
-  let k_flows = 1  (* finite flows of control, in [flow_time] *)
-  let k_window = 2
-  let k_fetch = 4
-  let k_lat = 8  (* non-unit latency, from [lat_tab] *)
-  let k_vp = 16
-  let k_segments = 32
-  let k_serial = 64  (* every branch takes a flow (BASE, CD) *)
-  let k_serial_mispred = 128  (* mispredicted ones do (SP, SP-CD) *)
-  let fetch_shift = 16
+  (* Rows of [w]: field [f] of machine [m] is [w.(f * nm + m)].  Each
+     time's row precedes its mchain's (row 6 for [f_ctx_time]), so a
+     pair of rows moves as one copy of [2 * nm] words. *)
+  let f_zero = 0  (* always 0: ORACLE's control constraint *)
+  let f_last_branch = 1
+  let f_last_mispred = 2
+  let f_r_time = 3  (* resolved control dependence *)
+  let f_r_mchain = 4
+  let f_ctx_time = 5  (* the call site's, for this activation *)
+  let f_max_time = 7
+  let f_seq_cycles = 8  (* non-unit latency only; else = counted *)
+  let f_win_pos = 9
+  let f_flow = 10  (* the flow this entry's branch takes *)
+  let f_seg_len = 11
+  let f_seg_base = 12
+  let f_seg_max = 13
+  let n_fields = 14
 
   type t = {
     cfgs : config array;
@@ -182,7 +175,8 @@ module State = struct
     mutable cur_block_seq : int;
     (* Packed activation frames, [2 + 2*nm] ints each: entry sequence
        number, the call site's resolved control-dependence sequence
-       number, then per machine its (time, mchain) (paper §4.4.1). *)
+       number, then the machines' ctx_time and ctx_mchain rows (paper
+       §4.4.1). *)
     mutable stack : int array;
     mutable stack_len : int;  (* frames, not words *)
     mutable cur_entry : int;
@@ -207,12 +201,23 @@ module State = struct
     mem : Stdx.Mem_table.t;  (* last-write time per word *)
     b_time : int array;
     b_mchain : int array;
-    ms : int array;  (* one [slot] per machine *)
-    (* Per-machine tables the knob bits point into. *)
-    lat_tab : int array;  (* latency at [m * n_lat + lat_index] *)
-    vp_table : bool array array;  (* per-pc predictability *)
+    w : int array;  (* [n_fields] rows of per-machine scalars *)
+    row : int array;  (* the entry's issue, then completion, times *)
+    ctrl : int array;  (* the word of [w] each control constraint reads *)
+    (* The machines carrying each optional constraint. *)
+    flows_all : int array;  (* every branch takes a flow: BASE, CD *)
+    flows_mispred : int array;  (* mispredicted ones do: SP, SP-CD *)
+    fetch_ix : int array;
+    window_ix : int array;
+    lat_ix : int array;
+    vp_ix : int array;
+    seg_ix : int array;
+    (* Their per-machine tables. *)
+    fetch : int array;  (* instructions fetched per cycle *)
     flow_time : int array array;
     window : int array array;
+    lat_tab : int array;  (* latency at [m * n_lat + lat_index] *)
+    vp_table : bool array array;  (* per-pc predictability *)
     segments : segment Stdx.Vec.t array;
     budget : int array;  (* step budget, [max_int] when unbounded *)
     (* Live machines, in group order; a budget cut removes one.
@@ -221,9 +226,9 @@ module State = struct
     mutable n_live : int;
     mutable next_cut : int;
     (* Resource guard: once a machine's step budget is hit, it drops
-       the remaining entries and its result is tagged Truncated; the
-       counts it shared are frozen with the cut. *)
-    cut : (Pipeline_error.fault_info * counts) option array;
+       the remaining entries; its result, tagged Truncated, and the
+       counts it shared are taken at the cut. *)
+    cut : (result * counts) option array;
     (* Probes.  [prof_on] is the one test the per-entry hot path pays
        when observability is off; the tallies are published to each
        machine's registry once, in [finish_group], and feed nothing in
@@ -270,31 +275,6 @@ module State = struct
     | Lat_fmul -> 5
     | Lat_fdiv -> 6
 
-  (* The compositional machine compiles down to knob bits and the word
-     its control constraint reads. *)
-  let knobs (c : config) vp_on =
-    let m = c.machine in
-    let serial, ctrl =
-      match m.Machine.control with
-      | Machine.Oracle -> (0, s_zero)
-      | Machine.Spec_cd -> (k_serial_mispred, s_r_mchain)
-      | Machine.Speculative -> (k_serial_mispred, s_last_mispred)
-      | Machine.Control_dep -> (k_serial, s_r_time)
-      | Machine.Blocking -> (k_serial, s_last_branch)
-    in
-    let bits =
-      serial
-      lor (if m.Machine.flows <> None then k_flows else 0)
-      lor (if m.Machine.window <> None then k_window else 0)
-      lor (match m.Machine.fetch with
-          | Some f when f > 0 -> k_fetch lor (f lsl fetch_shift)
-          | _ -> 0)
-      lor (if Option.is_some (Machine.latency_fn m) then k_lat else 0)
-      lor (if vp_on then k_vp else 0)
-      lor if c.collect_segments then k_segments else 0
-    in
-    (bits, ctrl)
-
   let scaled nm tables =
     if nm = 1 then tables else Array.map (Array.map (fun r -> r * nm)) tables
 
@@ -324,19 +304,19 @@ module State = struct
             t
           | _ -> [||])
     in
-    let ms = Array.make (nm * slot) 0 in
-    Array.iteri
-      (fun m c ->
-        let bits, ctrl = knobs c (Array.length vp_table.(m) > 0) in
-        ms.((m * slot) + s_knobs) <- bits;
-        ms.((m * slot) + s_ctrl) <- ctrl)
-      cfgs;
+    (* The positions of the machines satisfying [p], in group order. *)
+    let having p =
+      Array.of_list (List.filter (fun m -> p m cfgs.(m)) (List.init nm Fun.id))
+    in
+    let flows_on controls =
+      having (fun _ (c : config) ->
+          c.machine.Machine.flows <> None
+          && List.mem c.machine.Machine.control controls)
+    in
     let any_cd =
       Array.exists
         (fun (c : config) ->
-          match c.machine.Machine.control with
-          | Machine.Control_dep | Machine.Spec_cd -> true
-          | _ -> false)
+          List.mem c.machine.Machine.control Machine.[ Control_dep; Spec_cd ])
         cfgs
     in
     let mem_words =
@@ -379,16 +359,29 @@ module State = struct
       mem = Stdx.Mem_table.create (mem_words * nm);
       b_time = Array.make (n_blocks * nm) 0;
       b_mchain = Array.make (n_blocks * nm) 0;
-      ms;
-      lat_tab =
-        Array.concat
-          (List.map
-             (fun (c : config) ->
-               match Machine.latency_fn c.machine with
-               | Some f -> Array.of_list (List.map f lat_classes)
-               | None -> Array.make n_lat 1)
-             configs);
-      vp_table;
+      w = Array.make (n_fields * nm) 0;
+      row = Array.make nm 0;
+      ctrl =
+        Array.mapi
+          (fun m (c : config) ->
+            (nm
+            * match c.machine.Machine.control with
+              | Machine.Oracle -> f_zero
+              | Machine.Spec_cd -> f_r_mchain
+              | Machine.Speculative -> f_last_mispred
+              | Machine.Control_dep -> f_r_time
+              | Machine.Blocking -> f_last_branch)
+            + m)
+          cfgs;
+      flows_all = flows_on Machine.[ Blocking; Control_dep ];
+      flows_mispred = flows_on Machine.[ Speculative; Spec_cd ];
+      fetch_ix = having (fun _ c -> c.machine.Machine.fetch <> None);
+      window_ix = having (fun _ c -> c.machine.Machine.window <> None);
+      lat_ix =
+        having (fun _ c -> Option.is_some (Machine.latency_fn c.machine));
+      vp_ix = having (fun m _ -> Array.length vp_table.(m) > 0);
+      seg_ix = having (fun _ c -> c.collect_segments);
+      fetch = per (fun c -> Option.value c.machine.Machine.fetch ~default:0);
       flow_time =
         per (fun c ->
             match c.machine.Machine.flows with
@@ -399,6 +392,15 @@ module State = struct
             match c.machine.Machine.window with
             | Some w -> Array.make (max w 1) 0
             | None -> [||]);
+      lat_tab =
+        Array.concat
+          (List.map
+             (fun (c : config) ->
+               match Machine.latency_fn c.machine with
+               | Some f -> Array.of_list (List.map f lat_classes)
+               | None -> Array.make n_lat 1)
+             configs);
+      vp_table;
       segments =
         per (fun _ -> Stdx.Vec.create ~dummy:{ length = 0; cycles = 0 } ());
       budget;
@@ -412,6 +414,20 @@ module State = struct
       prof_left = per (fun c -> c.probe.Obs.Probe.a_sample_every) }
 
   let create cfg info = group [ cfg ] info
+
+  (* [n] words from [src] at [so] to [dst] at [d]: a loop, since a
+     group's rows are a few words and [Array.blit] is a C call. *)
+  let[@inline] copy (src : int array) so (dst : int array) d n =
+    for i = 0 to n - 1 do
+      Array.unsafe_set dst (d + i) (Array.unsafe_get src (so + i))
+    done
+
+  (* [row.(m) <- max row.(m) src.(so + m)] for the group's [n]. *)
+  let[@inline] max_into (src : int array) so (row : int array) n =
+    for m = 0 to n - 1 do
+      let time = Array.unsafe_get src (so + m) in
+      if time > Array.unsafe_get row m then Array.unsafe_set row m time
+    done
 
   (* Control-dependence resolution: the call-site context or the most
      recent valid RDF branch instance, whichever is newer; dropped
@@ -444,26 +460,13 @@ module State = struct
 
   let resolve_miss g blk =
     resolve_scan g (Array.unsafe_get g.rdf blk) g.cur_entry 0 g.ctx_seq (-1);
-    let src = g.r_src and nm = g.nm and ms = g.ms in
-    for m = 0 to nm - 1 do
-      let o = m * slot in
-      if src >= 0 then begin
-        Array.unsafe_set ms (o + s_r_time)
-          (Array.unsafe_get g.b_time ((src * nm) + m));
-        Array.unsafe_set ms (o + s_r_mchain)
-          (Array.unsafe_get g.b_mchain ((src * nm) + m))
-      end
-      else if src = -1 then begin
-        Array.unsafe_set ms (o + s_r_time)
-          (Array.unsafe_get ms (o + s_ctx_time));
-        Array.unsafe_set ms (o + s_r_mchain)
-          (Array.unsafe_get ms (o + s_ctx_mchain))
-      end
-      else begin
-        Array.unsafe_set ms (o + s_r_time) 0;
-        Array.unsafe_set ms (o + s_r_mchain) 0
-      end
-    done;
+    let src = g.r_src and nm = g.nm and w = g.w in
+    if src >= 0 then begin
+      copy g.b_time (src * nm) w (f_r_time * nm) nm;
+      copy g.b_mchain (src * nm) w (f_r_mchain * nm) nm
+    end
+    else if src = -1 then copy w (f_ctx_time * nm) w (f_r_time * nm) (2 * nm)
+    else Array.fill w (f_r_time * nm) (2 * nm) 0;
     g.r_blk <- blk
 
   let[@inline] resolve g blk = if g.r_blk <> blk then resolve_miss g blk
@@ -476,20 +479,10 @@ module State = struct
     Array.unsafe_set g.b_proc blk g.cur_entry;
     g.r_blk <- -1
 
-  (* The flow of control free earliest (lowest index on ties). *)
-  let rec best_flow (flow_time : int array) (k : int) (b : int) =
-    if k >= Array.length flow_time then b
-    else
-      best_flow flow_time (k + 1)
-        (if Array.unsafe_get flow_time k < Array.unsafe_get flow_time b
-         then k
-         else b)
-
   let call g blk =
     if g.any_cd then resolve g blk;
-    let nm = g.nm and ms = g.ms in
-    let fw = frame_words nm in
-    let base = fw * g.stack_len in
+    let nm = g.nm and w = g.w in
+    let base = frame_words nm * g.stack_len in
     if base >= Array.length g.stack then begin
       let old = g.stack in
       let bigger = Array.make (2 * Array.length old) 0 in
@@ -499,18 +492,10 @@ module State = struct
     let s = g.stack in
     Array.unsafe_set s base g.cur_entry;
     Array.unsafe_set s (base + 1) g.ctx_seq;
-    for m = 0 to nm - 1 do
-      let o = m * slot in
-      Array.unsafe_set s (base + 2 + (2 * m))
-        (Array.unsafe_get ms (o + s_ctx_time));
-      Array.unsafe_set s (base + 3 + (2 * m))
-        (Array.unsafe_get ms (o + s_ctx_mchain));
-      (* The callee's context is the call site's resolution (all zero
-         when no machine resolves control dependence). *)
-      Array.unsafe_set ms (o + s_ctx_time) (Array.unsafe_get ms (o + s_r_time));
-      Array.unsafe_set ms (o + s_ctx_mchain)
-        (Array.unsafe_get ms (o + s_r_mchain))
-    done;
+    copy w (f_ctx_time * nm) s (base + 2) (2 * nm);
+    (* The callee's context is the call site's resolution (all zero
+       when no machine resolves control dependence). *)
+    copy w (f_r_time * nm) w (f_ctx_time * nm) (2 * nm);
     g.stack_len <- g.stack_len + 1;
     if g.stack_len > g.frame_hw then g.frame_hw <- g.stack_len;
     g.cur_entry <- g.seq_counter + 1;
@@ -519,28 +504,19 @@ module State = struct
 
   let return g =
     g.r_blk <- -1;
-    let nm = g.nm and ms = g.ms in
+    let nm = g.nm in
     if g.stack_len > 0 then begin
       g.stack_len <- g.stack_len - 1;
       let base = frame_words nm * g.stack_len in
       let s = g.stack in
       g.cur_entry <- Array.unsafe_get s base;
       g.ctx_seq <- Array.unsafe_get s (base + 1);
-      for m = 0 to nm - 1 do
-        let o = m * slot in
-        Array.unsafe_set ms (o + s_ctx_time)
-          (Array.unsafe_get s (base + 2 + (2 * m)));
-        Array.unsafe_set ms (o + s_ctx_mchain)
-          (Array.unsafe_get s (base + 3 + (2 * m)))
-      done
+      copy s (base + 2) g.w (f_ctx_time * nm) (2 * nm)
     end
     else begin
       g.cur_entry <- 1;
       g.ctx_seq <- 0;
-      for m = 0 to nm - 1 do
-        Array.unsafe_set ms ((m * slot) + s_ctx_time) 0;
-        Array.unsafe_set ms ((m * slot) + s_ctx_mchain) 0
-      done
+      Array.fill g.w (f_ctx_time * nm) (2 * nm) 0
     end
 
   (* A sampled frame-depth observation per live machine with its probe
@@ -558,6 +534,203 @@ module State = struct
         else Array.unsafe_set g.prof_left m left
       end
     done
+
+  (* The group's last-write times of the word at [aux]: [addr = aux * nm]
+     starts its [nm] words.  When they share a page, one lookup serves
+     every machine, with checked accesses: a group that straddled the
+     page's end would raise rather than write past it.  Else each word
+     is looked up alone. *)
+  let page_mask = Stdx.Mem_table.page_words - 1
+
+  let[@inline] load g addr =
+    let nm = g.nm and row = g.row in
+    let off = addr land page_mask in
+    if off + nm <= Stdx.Mem_table.page_words then begin
+      let p = Stdx.Mem_table.page g.mem addr in
+      if Array.length p > 0 then
+        for m = 0 to nm - 1 do
+          let time = p.(off + m) in
+          if time > Array.unsafe_get row m then Array.unsafe_set row m time
+        done
+    end
+    else
+      for m = 0 to nm - 1 do
+        let time = Stdx.Mem_table.get g.mem (addr + m) in
+        if time > Array.unsafe_get row m then Array.unsafe_set row m time
+      done
+
+  let[@inline] store g addr =
+    let nm = g.nm and row = g.row in
+    let off = addr land page_mask in
+    if off + nm <= Stdx.Mem_table.page_words then begin
+      let p = Stdx.Mem_table.writable_page g.mem addr in
+      for m = 0 to nm - 1 do
+        p.(off + m) <- Array.unsafe_get row m
+      done
+    end
+    else
+      for m = 0 to nm - 1 do
+        Stdx.Mem_table.set g.mem (addr + m) (Array.unsafe_get row m)
+      done
+
+  (* The flow of control free earliest (lowest index on ties). *)
+  let rec best_flow (flow_time : int array) (k : int) (b : int) =
+    if k >= Array.length flow_time then b
+    else
+      best_flow flow_time (k + 1)
+        (if Array.unsafe_get flow_time k < Array.unsafe_get flow_time b
+         then k
+         else b)
+
+  (* Serializing branches compete for the machine's flows of control:
+     one such branch per flow per cycle.  Each machine of [ix] takes its
+     flow free earliest, issuing after that flow's last branch, and
+     [hold_flows] marks the flow busy until the branch completes. *)
+  let[@inline] take_flows g (ix : int array) =
+    let o = f_flow * g.nm and row = g.row in
+    for k = 0 to Array.length ix - 1 do
+      let m = Array.unsafe_get ix k in
+      let flows = Array.unsafe_get g.flow_time m in
+      let f = best_flow flows 1 0 in
+      Array.unsafe_set g.w (o + m) f;
+      let avail = Array.unsafe_get flows f + 1 in
+      if avail > Array.unsafe_get row m then Array.unsafe_set row m avail
+    done
+
+  let[@inline] hold_flows g (ix : int array) =
+    let o = f_flow * g.nm in
+    for k = 0 to Array.length ix - 1 do
+      let m = Array.unsafe_get ix k in
+      Array.unsafe_set
+        (Array.unsafe_get g.flow_time m)
+        (Array.unsafe_get g.w (o + m))
+        (Array.unsafe_get g.row m)
+    done
+
+  (* Close machine [m]'s inter-misprediction segment. *)
+  let push_segment g m =
+    let at f = (f * g.nm) + m in
+    Stdx.Vec.push g.segments.(m)
+      { length = g.w.(at f_seg_len);
+        cycles = max 1 (g.w.(at f_seg_max) - g.w.(at f_seg_base)) };
+    g.w.(at f_seg_len) <- 0
+
+  (* A counted entry, on every machine: [row] becomes its issue times,
+     then its completion times, which every write reads. *)
+  let[@inline] timed g ~pc ~aux ~bits blk =
+    let is_cbr = bits land Program_info.f_cond_branch <> 0 in
+    let is_cjump = bits land g.cjump_mask <> 0 in
+    let is_branch = is_cbr || is_cjump in
+    let mispred = if is_cbr then bits land b_mispred <> 0 else is_cjump in
+    if g.any_cd then resolve g blk;
+    let nm = g.nm and w = g.w and row = g.row and reg_time = g.reg_time in
+    (* Issue: 1 + max (control word, register uses, the last write of a
+       loaded address). *)
+    let ctrl = g.ctrl in
+    for m = 0 to nm - 1 do
+      Array.unsafe_set row m (Array.unsafe_get w (Array.unsafe_get ctrl m))
+    done;
+    let uses = Array.unsafe_get g.uses pc in
+    for u = 0 to Array.length uses - 1 do
+      max_into reg_time (Array.unsafe_get uses u) row nm
+    done;
+    let addr = aux * nm in
+    if bits land Program_info.f_mem_load <> 0 then load g addr;
+    for m = 0 to nm - 1 do
+      Array.unsafe_set row m (Array.unsafe_get row m + 1)
+    done;
+    if is_branch then begin
+      take_flows g g.flows_all;
+      if mispred then take_flows g g.flows_mispred
+    end;
+    (* Finite fetch rate: the [i]-th counted instruction cannot issue
+       before cycle [i/f + 1].  Before the window constraint so the
+       window records true issue times. *)
+    let ix = g.fetch_ix and counted = g.counted in
+    for k = 0 to Array.length ix - 1 do
+      let m = Array.unsafe_get ix k in
+      let fmin = (counted / Array.unsafe_get g.fetch m) + 1 in
+      if fmin > Array.unsafe_get row m then Array.unsafe_set row m fmin
+    done;
+    (* Finite scheduling window: an instruction cannot issue before the
+       one [w] earlier has issued. *)
+    let ix = g.window_ix in
+    for k = 0 to Array.length ix - 1 do
+      let m = Array.unsafe_get ix k in
+      let window = Array.unsafe_get g.window m in
+      let o = (f_win_pos * nm) + m in
+      let wp = Array.unsafe_get w o in
+      let prev = Array.unsafe_get window wp in
+      if prev > Array.unsafe_get row m then Array.unsafe_set row m prev;
+      Array.unsafe_set window wp (Array.unsafe_get row m);
+      Array.unsafe_set w o (if wp + 1 = Array.length window then 0 else wp + 1)
+    done;
+    (* Non-unit latency: issue becomes completion. *)
+    let ix = g.lat_ix in
+    if Array.length ix > 0 then begin
+      let l = lat_index (Array.unsafe_get g.lat pc) in
+      for k = 0 to Array.length ix - 1 do
+        let m = Array.unsafe_get ix k in
+        let lat = Array.unsafe_get g.lat_tab ((m * n_lat) + l) in
+        Array.unsafe_set row m (Array.unsafe_get row m + lat - 1);
+        let o = (f_seq_cycles * nm) + m in
+        Array.unsafe_set w o (Array.unsafe_get w o + lat)
+      done
+    end;
+    let defs = Array.unsafe_get g.defs pc in
+    for d = 0 to Array.length defs - 1 do
+      copy row 0 reg_time (Array.unsafe_get defs d) nm
+    done;
+    (* Under value prediction, a predictable instruction's results
+       count as available immediately; the producer itself still
+       occupies its cycles to validate the prediction, so max_time,
+       stores and branch bookkeeping keep the real completion. *)
+    let ix = g.vp_ix in
+    for k = 0 to Array.length ix - 1 do
+      let m = Array.unsafe_get ix k in
+      if Array.unsafe_get (Array.unsafe_get g.vp_table m) pc then
+        for d = 0 to Array.length defs - 1 do
+          Array.unsafe_set reg_time (Array.unsafe_get defs d + m) 0
+        done
+    done;
+    if bits land Program_info.f_mem_store <> 0 then store g addr;
+    let o = f_max_time * nm in
+    for m = 0 to nm - 1 do
+      let c = Array.unsafe_get row m in
+      if c > Array.unsafe_get w (o + m) then Array.unsafe_set w (o + m) c
+    done;
+    if is_branch then begin
+      let bslot = blk * nm in
+      copy row 0 g.b_time bslot nm;
+      copy row 0 w (f_last_branch * nm) nm;
+      if mispred then begin
+        copy row 0 g.b_mchain bslot nm;
+        copy row 0 w (f_last_mispred * nm) nm
+      end
+      else copy w (f_r_mchain * nm) g.b_mchain bslot nm;
+      hold_flows g g.flows_all;
+      if mispred then hold_flows g g.flows_mispred;
+      set_branch g blk;
+      if mispred then g.mispredicts <- g.mispredicts + 1
+    end;
+    let ix = g.seg_ix in
+    for k = 0 to Array.length ix - 1 do
+      let m = Array.unsafe_get ix k in
+      let c = Array.unsafe_get row m in
+      let len = (f_seg_len * nm) + m and max = (f_seg_max * nm) + m in
+      Array.unsafe_set w len (Array.unsafe_get w len + 1);
+      if c > Array.unsafe_get w max then Array.unsafe_set w max c;
+      if is_branch && mispred then begin
+        push_segment g m;
+        Array.unsafe_set w ((f_seg_base * nm) + m) c;
+        Array.unsafe_set w max c
+      end
+    done;
+    g.counted <- counted + 1;
+    if is_cbr then begin
+      g.dyn_branches <- g.dyn_branches + 1;
+      if mispred then g.cbr_mispred <- g.cbr_mispred + 1
+    end
 
   (* The per-entry transition, split from classification: [bits] is
      the entry's decoded word — the static flags plus the
@@ -582,195 +755,59 @@ module State = struct
        and return instructions themselves are timed. *)
     if bits land Program_info.f_call <> 0 then call g blk
     else if bits land Program_info.f_ret <> 0 then return g;
-    let nm = g.nm and ms = g.ms in
-    if bits land g.removed_mask <> 0 then begin
+    if bits land g.removed_mask = 0 then timed g ~pc ~aux ~bits blk
+    else if bits land Program_info.f_cond_branch <> 0 && g.any_cd then begin
       (* A removed loop branch passes its own control dependence through
          to its dependents (unrolling an inner loop leaves its body
          dependent on the enclosing branch). *)
-      if bits land Program_info.f_cond_branch <> 0 && g.any_cd then begin
-        resolve g blk;
-        for m = 0 to nm - 1 do
-          let o = m * slot in
-          Array.unsafe_set g.b_time ((blk * nm) + m)
-            (Array.unsafe_get ms (o + s_r_time));
-          Array.unsafe_set g.b_mchain ((blk * nm) + m)
-            (Array.unsafe_get ms (o + s_r_mchain))
-        done;
-        set_branch g blk
-      end
-    end
-    else begin
-      let is_cbr = bits land Program_info.f_cond_branch <> 0 in
-      let is_cjump = bits land g.cjump_mask <> 0 in
-      let is_branch = is_cbr || is_cjump in
-      let mispred = if is_cbr then bits land b_mispred <> 0 else is_cjump in
-      if g.any_cd then resolve g blk;
-      (* Which machines this branch serializes on a flow of control. *)
-      let serial =
-        if not is_branch then 0
-        else if mispred then k_serial lor k_serial_mispred
-        else k_serial
-      in
-      let uses = Array.unsafe_get g.uses pc in
-      let defs = Array.unsafe_get g.defs pc in
-      let n_uses = Array.length uses and n_defs = Array.length defs in
-      let load = bits land Program_info.f_mem_load <> 0 in
-      let store = bits land Program_info.f_mem_store <> 0 in
-      let addr = aux * nm in
-      let bslot = blk * nm in
-      let counted = g.counted in
-      let reg_time = g.reg_time and mem = g.mem and live = g.live in
-      for k = 0 to g.n_live - 1 do
-        let m = Array.unsafe_get live k in
-        let o = m * slot in
-        let kn = Array.unsafe_get ms (o + s_knobs) in
-        let ctrl = Array.unsafe_get ms (o + Array.unsafe_get ms (o + s_ctrl)) in
-        (* True data dependences: max over register uses and the last
-           write of a loaded address. *)
-        let data = ref 0 in
-        for u = 0 to n_uses - 1 do
-          let time = Array.unsafe_get reg_time (Array.unsafe_get uses u + m) in
-          if time > !data then data := time
-        done;
-        let data = !data in
-        let data =
-          if load then begin
-            let time = Stdx.Mem_table.get mem (addr + m) in
-            if time > data then time else data
-          end
-          else data
-        in
-        let t = 1 + if ctrl > data then ctrl else data in
-        (* Serializing branches compete for the machine's flows of
-           control: one such branch per flow per cycle. *)
-        let serializing = kn land serial <> 0 in
-        let flow_idx =
-          if serializing && kn land k_flows <> 0 then
-            best_flow (Array.unsafe_get g.flow_time m) 1 0
-          else -1
-        in
-        let t =
-          if flow_idx >= 0 then begin
-            let avail =
-              Array.unsafe_get (Array.unsafe_get g.flow_time m) flow_idx + 1
-            in
-            if avail > t then avail else t
-          end
-          else t
-        in
-        (* Finite fetch rate: the [i]-th counted instruction cannot
-           issue before cycle [i/f + 1].  Before the window constraint
-           so the window records true issue times. *)
-        let t =
-          if kn land k_fetch <> 0 then begin
-            let fmin = (counted / (kn lsr fetch_shift)) + 1 in
-            if fmin > t then fmin else t
-          end
-          else t
-        in
-        (* Finite scheduling window: an instruction cannot issue before
-           the one [w] earlier has issued. *)
-        let t =
-          if kn land k_window <> 0 then begin
-            let window = Array.unsafe_get g.window m in
-            let wp = Array.unsafe_get ms (o + s_win_pos) in
-            let prev = Array.unsafe_get window wp in
-            let t = if prev > t then prev else t in
-            Array.unsafe_set window wp t;
-            let wp = wp + 1 in
-            Array.unsafe_set ms (o + s_win_pos)
-              (if wp = Array.length window then 0 else wp);
-            t
-          end
-          else t
-        in
-        let completion =
-          if kn land k_lat <> 0 then begin
-            let lat =
-              Array.unsafe_get g.lat_tab
-                ((m * n_lat) + lat_index (Array.unsafe_get g.lat pc))
-            in
-            Array.unsafe_set ms (o + s_seq_cycles)
-              (Array.unsafe_get ms (o + s_seq_cycles) + lat);
-            t + lat - 1
-          end
-          else t
-        in
-        (* Under value prediction, a predictable instruction's results
-           count as available immediately; the producer itself still
-           occupies its cycles to validate the prediction, so max_time,
-           stores and branch bookkeeping keep the real completion. *)
-        let def_time =
-          if kn land k_vp <> 0
-             && Array.unsafe_get (Array.unsafe_get g.vp_table m) pc
-          then 0
-          else completion
-        in
-        for d = 0 to n_defs - 1 do
-          Array.unsafe_set reg_time (Array.unsafe_get defs d + m) def_time
-        done;
-        if store then Stdx.Mem_table.set mem (addr + m) completion;
-        if completion > Array.unsafe_get ms (o + s_max_time) then
-          Array.unsafe_set ms (o + s_max_time) completion;
-        let segs = kn land k_segments <> 0 in
-        if segs then begin
-          Array.unsafe_set ms (o + s_seg_len)
-            (Array.unsafe_get ms (o + s_seg_len) + 1);
-          if completion > Array.unsafe_get ms (o + s_seg_max) then
-            Array.unsafe_set ms (o + s_seg_max) completion
-        end;
-        if is_branch then begin
-          Array.unsafe_set g.b_time (bslot + m) completion;
-          Array.unsafe_set g.b_mchain (bslot + m)
-            (if mispred then completion
-             else Array.unsafe_get ms (o + s_r_mchain));
-          Array.unsafe_set ms (o + s_last_branch) completion;
-          if flow_idx >= 0 then
-            Array.unsafe_set (Array.unsafe_get g.flow_time m) flow_idx
-              completion;
-          if mispred then begin
-            Array.unsafe_set ms (o + s_last_mispred) completion;
-            if segs then begin
-              Stdx.Vec.push
-                (Array.unsafe_get g.segments m)
-                { length = Array.unsafe_get ms (o + s_seg_len);
-                  cycles =
-                    max 1
-                      (Array.unsafe_get ms (o + s_seg_max)
-                      - Array.unsafe_get ms (o + s_seg_base)) };
-              Array.unsafe_set ms (o + s_seg_len) 0;
-              Array.unsafe_set ms (o + s_seg_base) completion;
-              Array.unsafe_set ms (o + s_seg_max) completion
-            end
-          end
-        end
-      done;
-      g.counted <- counted + 1;
-      if is_cbr then begin
-        g.dyn_branches <- g.dyn_branches + 1;
-        if mispred then g.cbr_mispred <- g.cbr_mispred + 1
-      end;
-      if is_branch then begin
-        set_branch g blk;
-        if mispred then g.mispredicts <- g.mispredicts + 1
-      end
+      resolve g blk;
+      let nm = g.nm in
+      copy g.w (f_r_time * nm) g.b_time (blk * nm) nm;
+      copy g.w (f_r_mchain * nm) g.b_mchain (blk * nm) nm;
+      set_branch g blk
     end
 
+  (* Machine [m]'s result from its columns and the counts [c], closing
+     its trailing inter-misprediction segment. *)
+  let result g m (c : counts) completeness =
+    let cfg = g.cfgs.(m) and at f = (f * g.nm) + m in
+    if cfg.collect_segments && g.w.(at f_seg_len) > 0 then push_segment g m;
+    let max_time = g.w.(at f_max_time) in
+    (* Under unit latency the sequential time is the count. *)
+    let seq_cycles =
+      if Option.is_some (Machine.latency_fn cfg.machine) then
+        g.w.(at f_seq_cycles)
+      else c.n_counted
+    in
+    { machine = cfg.machine.name;
+      counted = c.n_counted;
+      seq_cycles;
+      cycles = max_time;
+      parallelism =
+        (if max_time = 0 then 1.
+         else float_of_int seq_cycles /. float_of_int max_time);
+      dyn_branches = c.n_dyn_branches;
+      mispredicts = c.n_mispredicts;
+      segments = Stdx.Vec.to_array g.segments.(m);
+      completeness }
+
   (* Stop every live machine whose budget the shared count has reached,
-     freezing what it shares with the rest of the group. *)
+     taking its result and the counts it shares with the group. *)
   let cut_machines g ~pc =
     let kept = ref 0 and next = ref max_int in
     for k = 0 to g.n_live - 1 do
       let m = g.live.(k) in
       let b = g.budget.(m) in
-      if g.counted >= b then
-        g.cut.(m) <-
-          Some
-            ( Pipeline_error.fault ~pc ~step:g.counted
-                ~detail:(Printf.sprintf "analysis step budget %d" b)
-                Pipeline_error.Step_budget,
-              (* the cut entry itself is dropped *)
-              counts g ~entries:(g.seen - 1) )
+      if g.counted >= b then begin
+        let fault =
+          Pipeline_error.fault ~pc ~step:g.counted
+            ~detail:(Printf.sprintf "analysis step budget %d" b)
+            Pipeline_error.Step_budget
+        in
+        (* the cut entry itself is dropped *)
+        let c = counts g ~entries:(g.seen - 1) in
+        g.cut.(m) <- Some (result g m c (Pipeline_error.Truncated fault), c)
+      end
       else begin
         g.live.(!kept) <- m;
         incr kept;
@@ -815,20 +852,21 @@ module State = struct
         ~bits:(Array.unsafe_get bits i)
     done
 
+  (* A budget cut happens strictly before the execution's own end, so
+     its tag wins over an execution-level truncation tag. *)
   let finish_group ?(completeness = Pipeline_error.Complete) g =
     List.init g.nm (fun m ->
-        let o = m * slot in
-        let kn = g.ms.(o + s_knobs) in
-        let c, flushed =
+        let r, c, flushed =
           match g.cut.(m) with
-          | Some (_, c) -> (c, g.seen - c.n_entries - 1)
-          | None -> (counts g ~entries:g.seen, 0)
+          | Some (r, c) -> (r, c, g.seen - c.n_entries - 1)
+          | None ->
+            let c = counts g ~entries:g.seen in
+            (result g m c completeness, c, 0)
         in
-        let counted = c.n_counted in
         let p = g.probes.(m) in
         if p.Obs.Probe.a_enabled then begin
           Obs.Metrics.add p.Obs.Probe.a_entries c.n_entries;
-          Obs.Metrics.add p.Obs.Probe.a_counted counted;
+          Obs.Metrics.add p.Obs.Probe.a_counted c.n_counted;
           Obs.Metrics.add p.Obs.Probe.a_flushed flushed;
           Obs.Metrics.add p.Obs.Probe.a_pred_misses c.n_cbr_mispred;
           Obs.Metrics.add p.Obs.Probe.a_pred_hits
@@ -836,34 +874,7 @@ module State = struct
           Obs.Metrics.add p.Obs.Probe.a_mispredict_flushes c.n_mispredicts;
           Obs.Metrics.set_max p.Obs.Probe.a_frame_hw c.n_frame_hw
         end;
-        let seg_len = g.ms.(o + s_seg_len) in
-        if kn land k_segments <> 0 && seg_len > 0 then begin
-          Stdx.Vec.push g.segments.(m)
-            { length = seg_len;
-              cycles = max 1 (g.ms.(o + s_seg_max) - g.ms.(o + s_seg_base)) };
-          g.ms.(o + s_seg_len) <- 0
-        end;
-        let max_time = g.ms.(o + s_max_time) in
-        (* Under unit latency the sequential time is the count. *)
-        let seq_cycles =
-          if kn land k_lat <> 0 then g.ms.(o + s_seq_cycles) else counted
-        in
-        { machine = g.cfgs.(m).machine.name;
-          counted;
-          seq_cycles;
-          cycles = max_time;
-          parallelism =
-            (if max_time = 0 then 1.
-             else float_of_int seq_cycles /. float_of_int max_time);
-          dyn_branches = c.n_dyn_branches;
-          mispredicts = c.n_mispredicts;
-          segments = Stdx.Vec.to_array g.segments.(m);
-          (* A budget cut happens strictly before the execution's own
-             end, so it wins over an execution-level truncation tag. *)
-          completeness =
-            (match g.cut.(m) with
-            | Some (f, _) -> Pipeline_error.Truncated f
-            | None -> completeness) })
+        r)
 
   let finish ?completeness g =
     match finish_group ?completeness g with

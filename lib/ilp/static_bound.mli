@@ -47,10 +47,6 @@ type t = {
   components : component list;
 }
 
-val max_latency : Program_info.t -> Machine.t -> int
-(** Largest latency the machine assigns to any latency class present
-    in the program (1 under unit latency). *)
-
 val compile : Cfg.Estimate.t -> Program_info.t -> Machine.t -> t
 
 val pp : Format.formatter -> t -> unit

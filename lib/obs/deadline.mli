@@ -24,8 +24,6 @@ val budget_ms : t -> int
 
 val elapsed_ms : t -> int
 
-val expired : t -> bool
-
 val check : t -> unit
 (** @raise Expired once the budget is spent. *)
 

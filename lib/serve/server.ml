@@ -231,11 +231,15 @@ let prepare t (a : Protocol.analyze) =
                   hint =
                     Pipeline_error.suggest kname Fault.Injector.kind_names })))
   in
-  (* A count below 1 is refused before it costs a compile, a cache
-     slot or a queue slot. *)
+  (* A count below 1 or a memory out of range is refused before it
+     costs a compile, a cache slot or a queue slot. *)
   let* () = Harness.check_count ~workload "fuel" fuel in
   let* () = Harness.check_count ~workload "step budget" step_budget in
   let* () = Harness.check_count ~workload "deadline_ms" deadline_ms in
+  let* _ =
+    Option.fold ~none:(Ok 0) ~some:(Vm.Exec.validate_mem_words ~workload)
+      a.a_mem_words
+  in
   let key = Digest.to_hex (Digest.string w.Workloads.Registry.source) in
   let* (flat, price), cached =
     match Cache.find t.cache key with

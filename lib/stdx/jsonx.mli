@@ -46,10 +46,6 @@ val to_buffer : Buffer.t -> t -> unit
 
 val to_string : t -> string
 
-val utf8_valid : string -> bool
-(** Whole-string UTF-8 validity ({!parse} rejects non-UTF-8 input
-    before reading it). *)
-
 (** {2 Accessors} — all total, [None] on shape mismatch. *)
 
 val member : string -> t -> t option

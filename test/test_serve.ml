@@ -768,35 +768,47 @@ let test_serve_drain_awaits_worker () =
 (* A count below 1 is refused before the compile cache, admission and
    the queue: after a refused deadline and a refused fuel, the first
    valid request for the same workload still compiles. *)
+(* Each refusal names its own workload, and the next valid request
+   for that workload is its first compile: the refusal cost no compile
+   and no cache slot. *)
 let test_serve_refused_before_cache () =
   with_server "refused" (fun _t path ->
       let member_str name j = Jsonx.(Option.bind (member name j) to_str) in
-      let refused what payload =
-        let resp = oneshot path payload in
-        check bool (what ^ " refused") true
-          (error_cause resp = Some "invalid_request");
-        match Jsonx.parse resp with
+      let refused ?(cause = "invalid_request") what workload payload =
+        let resp = oneshot path (payload ~workload) in
+        check (Alcotest.option string) (what ^ " refused") (Some cause)
+          (error_cause resp);
+        (match Jsonx.parse resp with
         | Ok j ->
           check (Alcotest.option string) (what ^ ": reply names its workload")
-            (Some "awk")
+            (Some workload)
             (Option.bind (Jsonx.member "error" j) (member_str "workload"))
+        | Error e -> fail e);
+        let ok =
+          oneshot path
+            (analyze_payload ~id:1 ~fuel:50_000 ~workload [ "sp-cd-mf" ])
+        in
+        match Jsonx.parse ok with
+        | Ok j ->
+          check bool (what ^ ": valid request answered") true
+            (decoded ok).Protocol.r_ok;
+          check (Alcotest.option bool)
+            (what ^ ": valid request compiled, not cached")
+            (Some false)
+            Jsonx.(Option.bind (member "cached" j) to_bool)
         | Error e -> fail e
       in
-      refused "deadline 0"
-        (analyze_payload ~id:1 ~deadline_ms:0 ~workload:"awk" [ "sp-cd-mf" ]);
-      refused "fuel 0"
-        (analyze_payload ~id:1 ~fuel:0 ~workload:"awk" [ "sp-cd-mf" ]);
-      let ok =
-        oneshot path
-          (analyze_payload ~id:1 ~fuel:50_000 ~workload:"awk" [ "sp-cd-mf" ])
+      let with_mem_words mem_words ~workload =
+        Protocol.analyze_request ~id:1
+          (Protocol.analyze ~workload ~machines:[ "sp-cd-mf" ] ~mem_words ())
       in
-      match Jsonx.parse ok with
-      | Ok j ->
-        check bool "valid request answered" true (decoded ok).Protocol.r_ok;
-        check (Alcotest.option bool) "valid request compiled, not cached"
-          (Some false)
-          Jsonx.(Option.bind (member "cached" j) to_bool)
-      | Error e -> fail e)
+      refused "deadline 0" "awk"
+        (analyze_payload ~id:1 ~deadline_ms:0 [ "sp-cd-mf" ]);
+      refused "fuel 0" "eqntott" (analyze_payload ~id:1 ~fuel:0 [ "sp-cd-mf" ]);
+      refused "mem_words 0" "ccom" (with_mem_words 0);
+      refused ~cause:"budget_exceeded" "mem_words above the maximum"
+        "espresso"
+        (with_mem_words (Vm.Exec.max_mem_words + 1)))
 
 let test_serve_idle_timeout () =
   with_server ~idle_timeout_ms:50 "idle" (fun t _path ->
