@@ -107,30 +107,24 @@ type result = {
 
 (* Incremental analysis of one decode group: all the state its machine
    models need to consume decoded trace entries in order.  [step_bits]
-   is the one per-entry transition, and it advances every machine of the
-   group at once.
+   is the one per-entry transition; it advances every machine of the
+   group at once (DESIGN.md section 9).
 
    The machines of a group differ only in their constraints and their
-   times.  Everything else is done once per entry for all of them: the
-   flag tests, the block-sequence and frame-stack upkeep, the uses/defs
-   and page lookups and the control-dependence scan.  Which RDF
-   candidate wins depends only on [cand_seq], [b_proc], [cur_entry] and
-   [ctx_seq], which every machine shares; only the times it carries
-   differ.  Per-machine times are interleaved at stride [nm] (the
-   group's machine count): [reg*nm + m] in [reg_time], [addr*nm + m] in
-   [mem], [blk*nm + m] in [b_time]/[b_mchain], and each per-machine
-   scalar at [field*nm + m] in [w].
+   times.  The flag tests, the block-sequence and frame-stack upkeep,
+   the uses/defs and page lookups and the control-dependence scan are
+   done once per entry for all of them.  Per-machine times are
+   interleaved at stride [nm]: [reg*nm + m] in [reg_time], [addr*nm + m]
+   in [mem], [blk*nm + m] in [b_time]/[b_mchain], [field*nm + m] in [w].
 
-   A timed entry runs column by column, each step one tight loop over
-   the group: fill the scratch [row] with every machine's issue time
-   (its control word, each register use, the load, the +1), then write
-   each def, the store, the max time and the branch bookkeeping.  A
-   constraint only some machines carry (flows on serializing branches,
-   fetch, window, latency, value prediction, segments) is a pass over
-   the index array of those machines alone.  A budget cut freezes a
-   machine by taking its result at the cut; the loops go on writing its
-   columns, which nothing reads again.  The loop allocates nothing: its
-   helpers are closed top-level functions. *)
+   A timed entry runs column by column, each step one loop over the
+   group: [row] gets every machine's issue time (control word, uses,
+   load, +1), then each def, the store, the max time and the branch
+   bookkeeping are written from it.  A constraint only some machines
+   carry is a pass over the index array of those machines alone.  A
+   budget cut takes the machine's result and drops it from those
+   arrays; the group-wide loops go on writing its columns, which
+   nothing reads again.  The loop allocates nothing. *)
 module State = struct
   (* Rows of [w]: field [f] of machine [m] is [w.(f * nm + m)].  Each
      time's row precedes its mchain's (row 6 for [f_ctx_time]), so a
@@ -204,14 +198,14 @@ module State = struct
     w : int array;  (* [n_fields] rows of per-machine scalars *)
     row : int array;  (* the entry's issue, then completion, times *)
     ctrl : int array;  (* the word of [w] each control constraint reads *)
-    (* The machines carrying each optional constraint. *)
-    flows_all : int array;  (* every branch takes a flow: BASE, CD *)
-    flows_mispred : int array;  (* mispredicted ones do: SP, SP-CD *)
-    fetch_ix : int array;
-    window_ix : int array;
-    lat_ix : int array;
-    vp_ix : int array;
-    seg_ix : int array;
+    (* The live machines carrying each optional constraint. *)
+    mutable flows_all : int array;  (* every branch takes a flow: BASE, CD *)
+    mutable flows_mispred : int array;  (* mispredicted ones do: SP, SP-CD *)
+    mutable fetch_ix : int array;
+    mutable window_ix : int array;
+    mutable lat_ix : int array;
+    mutable vp_ix : int array;
+    mutable seg_ix : int array;
     (* Their per-machine tables. *)
     fetch : int array;  (* instructions fetched per cycle *)
     flow_time : int array array;
@@ -375,7 +369,8 @@ module State = struct
           cfgs;
       flows_all = flows_on Machine.[ Blocking; Control_dep ];
       flows_mispred = flows_on Machine.[ Speculative; Spec_cd ];
-      fetch_ix = having (fun _ c -> c.machine.Machine.fetch <> None);
+      fetch_ix =
+        having (fun _ c -> Option.value c.machine.Machine.fetch ~default:0 > 0);
       window_ix = having (fun _ c -> c.machine.Machine.window <> None);
       lat_ix =
         having (fun _ c -> Option.is_some (Machine.latency_fn c.machine));
@@ -535,44 +530,6 @@ module State = struct
       end
     done
 
-  (* The group's last-write times of the word at [aux]: [addr = aux * nm]
-     starts its [nm] words.  When they share a page, one lookup serves
-     every machine, with checked accesses: a group that straddled the
-     page's end would raise rather than write past it.  Else each word
-     is looked up alone. *)
-  let page_mask = Stdx.Mem_table.page_words - 1
-
-  let[@inline] load g addr =
-    let nm = g.nm and row = g.row in
-    let off = addr land page_mask in
-    if off + nm <= Stdx.Mem_table.page_words then begin
-      let p = Stdx.Mem_table.page g.mem addr in
-      if Array.length p > 0 then
-        for m = 0 to nm - 1 do
-          let time = p.(off + m) in
-          if time > Array.unsafe_get row m then Array.unsafe_set row m time
-        done
-    end
-    else
-      for m = 0 to nm - 1 do
-        let time = Stdx.Mem_table.get g.mem (addr + m) in
-        if time > Array.unsafe_get row m then Array.unsafe_set row m time
-      done
-
-  let[@inline] store g addr =
-    let nm = g.nm and row = g.row in
-    let off = addr land page_mask in
-    if off + nm <= Stdx.Mem_table.page_words then begin
-      let p = Stdx.Mem_table.writable_page g.mem addr in
-      for m = 0 to nm - 1 do
-        p.(off + m) <- Array.unsafe_get row m
-      done
-    end
-    else
-      for m = 0 to nm - 1 do
-        Stdx.Mem_table.set g.mem (addr + m) (Array.unsafe_get row m)
-      done
-
   (* The flow of control free earliest (lowest index on ties). *)
   let rec best_flow (flow_time : int array) (k : int) (b : int) =
     if k >= Array.length flow_time then b
@@ -635,7 +592,8 @@ module State = struct
       max_into reg_time (Array.unsafe_get uses u) row nm
     done;
     let addr = aux * nm in
-    if bits land Program_info.f_mem_load <> 0 then load g addr;
+    if bits land Program_info.f_mem_load <> 0 then
+      Stdx.Mem_table.max_run g.mem addr row nm;
     for m = 0 to nm - 1 do
       Array.unsafe_set row m (Array.unsafe_get row m + 1)
     done;
@@ -693,7 +651,8 @@ module State = struct
           Array.unsafe_set reg_time (Array.unsafe_get defs d + m) 0
         done
     done;
-    if bits land Program_info.f_mem_store <> 0 then store g addr;
+    if bits land Program_info.f_mem_store <> 0 then
+      Stdx.Mem_table.set_run g.mem addr row nm;
     let o = f_max_time * nm in
     for m = 0 to nm - 1 do
       let c = Array.unsafe_get row m in
@@ -815,7 +774,18 @@ module State = struct
       end
     done;
     g.n_live <- !kept;
-    g.next_cut <- !next
+    g.next_cut <- !next;
+    (* No optional pass visits a cut machine again. *)
+    let live ix =
+      Array.of_seq (Seq.filter (fun m -> g.cut.(m) = None) (Array.to_seq ix))
+    in
+    g.flows_all <- live g.flows_all;
+    g.flows_mispred <- live g.flows_mispred;
+    g.fetch_ix <- live g.fetch_ix;
+    g.window_ix <- live g.window_ix;
+    g.lat_ix <- live g.lat_ix;
+    g.vp_ix <- live g.vp_ix;
+    g.seg_ix <- live g.seg_ix
 
   (* The budget guard wraps the real per-entry transition: once a
      machine's configured number of counted instructions has been

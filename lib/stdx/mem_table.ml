@@ -50,3 +50,32 @@ let[@inline] get t addr =
 
 let[@inline] set t addr v =
   Array.unsafe_set (writable_page t addr) (addr land page_mask) v
+
+(* A run looks its page up once when it lies in one page, else each
+   word alone.  The page is indexed with checked accesses, so a wrong
+   fit test raises rather than reads or writes past it. *)
+let[@inline] max_run t addr (row : int array) n =
+  let off = addr land page_mask in
+  let p = if off + n <= page_words then page t addr else empty_page in
+  if p != empty_page then
+    for i = 0 to n - 1 do
+      if p.(off + i) > row.(i) then row.(i) <- p.(off + i)
+    done
+  else
+    for i = 0 to n - 1 do
+      let v = get t (addr + i) in
+      if v > row.(i) then row.(i) <- v
+    done
+
+let[@inline] set_run t addr (row : int array) n =
+  let off = addr land page_mask in
+  if off + n <= page_words then begin
+    let p = writable_page t addr in
+    for i = 0 to n - 1 do
+      p.(off + i) <- row.(i)
+    done
+  end
+  else
+    for i = 0 to n - 1 do
+      set t (addr + i) row.(i)
+    done

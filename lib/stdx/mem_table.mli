@@ -35,9 +35,10 @@ val set : t -> int -> int -> unit
 (** [set t addr v] for [addr >= 0].  Allocates [addr]'s page on first
     use; an address beyond [words] grows the page directory. *)
 
-val page : t -> int -> int array
-(** The page holding [addr >= 0] at index [addr land (page_words - 1)],
-    or [[||]] when nothing was [set] on it. *)
+val max_run : t -> int -> int array -> int -> unit
+(** [max_run t addr row n] raises [row.(i)] to [get t (addr + i)] for
+    [i < n], with one page lookup when the run lies in one page. *)
 
-val writable_page : t -> int -> int array
-(** The page holding [addr >= 0], allocated on first use. *)
+val set_run : t -> int -> int array -> int -> unit
+(** [set_run t addr row n] sets [addr + i] to [row.(i)] for [i < n],
+    with one page lookup when the run lies in one page. *)

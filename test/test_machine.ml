@@ -187,6 +187,8 @@ let test_fetch_schedule () =
   Alcotest.(check int) "fetch=2" 4 (cyc (Some 2));
   Alcotest.(check int) "fetch=3" 3 (cyc (Some 3));
   Alcotest.(check int) "fetch=8" 1 (cyc (Some 8));
+  (* a width below 1, which only the library API can build, is unlimited *)
+  Alcotest.(check int) "fetch=0" 1 (cyc (Some 0));
   (* fetch composes with data dependence: a serial chain is unmoved *)
   let chain =
     Test_analyze.mk_info

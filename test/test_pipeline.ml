@@ -425,6 +425,34 @@ let test_fanout_allocation () =
     (Printf.sprintf "%.3f minor words per entry < 1" per_entry)
     true (per_entry < 1.)
 
+(* A budget cut drops the machine from its optional passes: collecting
+   segments on a machine cut after 1,000 instructions allocates about
+   what the same group without segments does, while its partner runs on
+   over the whole 200k-step trace and its mispredictions. *)
+let test_cut_stops_segments () =
+  let p = Harness.prepare ~fuel:200_000 (Workloads.Registry.find "gcc") in
+  let trace = Recorded.trace p in
+  let predictor = Harness.profile_predictor p in
+  let words collect_segments =
+    let cfg = Ilp.Analyze.config ~mem_words:Vm.Exec.default_mem_words in
+    let cfgs =
+      [ cfg ~collect_segments ~step_budget:1_000 Ilp.Machine.sp predictor;
+        cfg Ilp.Machine.sp_cd predictor ]
+    in
+    let before = Gc.allocated_bytes () in
+    let r = Ilp.Analyze.run_many cfgs p.info trace in
+    let after = Gc.allocated_bytes () in
+    Alcotest.(check bool) "the partner mispredicts often" true
+      ((List.nth r 1).Ilp.Analyze.mispredicts > 2_000);
+    (after -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  ignore (words false);  (* the first run pays one-time setup *)
+  let plain = words false in
+  let extra = words true -. plain in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for the cut machine's segments < 1024" extra)
+    true (extra < 1024.)
+
 let suite =
   [ Alcotest.test_case "run_many golden: gcc" `Quick
       (test_run_many_golden "gcc");
@@ -446,4 +474,6 @@ let suite =
     Alcotest.test_case "chunk boundaries: run_many = sink_many = entry-major"
       `Quick test_chunk_boundaries;
     Alcotest.test_case "fan-out allocation under a word per entry" `Quick
-      test_fanout_allocation ]
+      test_fanout_allocation;
+    Alcotest.test_case "a budget cut stops a machine's segments" `Quick
+      test_cut_stops_segments ]

@@ -83,6 +83,46 @@ let test_vec_growth =
       && Stdx.Vec.length v = List.length ys
       && Stdx.Vec.to_array v = Array.of_list ys)
 
+let test_mem_table_runs =
+  (* Runs of 1..9 words that end a page, straddle two or lie inside
+     one, against a dense array; the table starts with two pages of
+     directory, so runs past them grow it. *)
+  let pw = Stdx.Mem_table.page_words in
+  let addr =
+    QCheck.Gen.(
+      oneof
+        [ map2 (fun k d -> (k * pw) - d) (1 -- 4) (0 -- 9);
+          int_bound ((4 * pw) - 1) ])
+  in
+  QCheck.Test.make ~name:"mem_table runs == word by word" ~count:200
+    QCheck.(
+      make
+        Gen.(list_size (1 -- 30) (quad bool addr (1 -- 9) (int_bound 1000))))
+    (fun ops ->
+      let t = Stdx.Mem_table.create (2 * pw) in
+      let dense = Array.make (5 * pw) 0 in
+      List.for_all
+        (fun (write, a, n, v) ->
+          let row = Array.init 9 (fun i -> v + i - 4) in
+          if write then begin
+            Stdx.Mem_table.set_run t a row n;
+            Array.blit row 0 dense a n;
+            true
+          end
+          else begin
+            let want =
+              Array.mapi
+                (fun i r -> if i < n then max r dense.(a + i) else r)
+                row
+            in
+            Stdx.Mem_table.max_run t a row n;
+            row = want
+          end)
+        ops
+      && Seq.for_all
+           (fun (a, v) -> Stdx.Mem_table.get t a = v)
+           (Array.to_seqi dense))
+
 let test_means () =
   check_float "mean" 2. (Stdx.Stats.mean [ 1.; 2.; 3. ]);
   check_float "harmonic of equal" 5. (Stdx.Stats.harmonic_mean [ 5.; 5. ]);
@@ -245,6 +285,7 @@ let suite =
     QCheck_alcotest.to_alcotest test_vec_roundtrip;
     QCheck_alcotest.to_alcotest test_vec_iter_roundtrip;
     QCheck_alcotest.to_alcotest test_vec_growth;
+    QCheck_alcotest.to_alcotest test_mem_table_runs;
     Alcotest.test_case "means" `Quick test_means;
     QCheck_alcotest.to_alcotest test_mean_inequality;
     Alcotest.test_case "percentile" `Quick test_percentile;
